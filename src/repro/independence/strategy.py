@@ -45,6 +45,12 @@ Tie-break rules (also documented in DESIGN.md):
   anyway.  Calibrated on the T3 schema sweep: eager wins up to a
   schema product of ~3.9k (widths 2-4) and loses from ~6.1k up
   (widths 8-16), so the limit sits between the two families.
+  Re-measured after the worklist engine's wake index made both
+  strategies faster (2-core host, interleaved medians): eager is
+  1.3-1.6x faster at widths 2-4 and ~1.1x at width 6 (4968), the two
+  tie at widths 7-8 (5.5k-6.1k) and lazy is 1.4-1.5x faster at width
+  16, so the crossover stays between the eager and lazy families and
+  the limit is unchanged.
 """
 
 from __future__ import annotations
@@ -67,7 +73,8 @@ _RULES_PER_PAIR = 3
 #: (fd_rules x u_rules x 3 x schema_rules) stays under this limit
 #: (measured on the T3 schema sweep: eager ~2x faster at products of
 #: 2.8k-3.9k, 1.2-2x *slower* from 6.1k up, so the limit splits the
-#: two measured families at their geometric midpoint)
+#: two measured families at their geometric midpoint; with the wake
+#: index eager still wins up to 5.0k and ties from 5.5k, see above)
 SCHEMA_EAGER_RULE_LIMIT = 5000
 
 #: observed explored fraction above which lazy is visiting most of the

@@ -9,7 +9,13 @@ automaton protocol:
 * ``initial()`` -- start state;
 * ``step(state, symbol)`` -- next state, or ``None`` when dead;
 * ``accepting(state)`` -- acceptance;
-* ``size()`` -- number of states (for the Proposition 3 size study).
+* ``size()`` -- number of states (for the Proposition 3 size study);
+* ``wake_keys()`` -- a conservative over-approximation of the symbols
+  ``step`` can ever accept, as ``(path, values)``: a symbol can only
+  step if projecting it along ``path`` (a tuple of projection callables,
+  applied left to right; see :func:`project`) lands in the finite set
+  ``values``.  ``None`` means "may read anything".  The worklist engine
+  uses it to wake only the searches that can read a new symbol.
 
 Symbols are hedge-automaton states (arbitrary hashable objects).  The
 instances cover everything the paper's constructions need: the shuffle
@@ -26,6 +32,17 @@ from repro.regex.dfa import DFA
 
 HState = Hashable
 Symbol = Hashable
+#: projections applied left to right to reach the symbol a key tests
+Path = tuple[Callable[[Symbol], Symbol], ...]
+#: ``(path, values)``: a symbol may step only if its projection is in values
+WakeKey = tuple[Path, frozenset]
+
+
+def project(symbol: Symbol, path: Path) -> Symbol:
+    """Apply a wake-key path's projections to a symbol, left to right."""
+    for projection in path:
+        symbol = projection(symbol)
+    return symbol
 
 
 class HorizontalLanguage:
@@ -58,6 +75,15 @@ class HorizontalLanguage:
         """
         return ("opaque", id(self))
 
+    def wake_keys(self) -> WakeKey | None:
+        """Which symbols can ``step`` ever accept (see module docstring)?
+
+        Soundness contract: whenever ``step(q, s)`` is not ``None`` for
+        a reachable state ``q``, ``project(s, path)`` is in ``values``.
+        The base fallback, ``None``, admits every symbol — always sound.
+        """
+        return None
+
     # convenience ------------------------------------------------------
 
     def accepts(self, word: Sequence[Symbol]) -> bool:
@@ -82,6 +108,9 @@ class EmptyWordHorizontal(HorizontalLanguage):
     def step(self, state: HState, symbol: Symbol) -> HState | None:
         return None
 
+    def wake_keys(self) -> WakeKey | None:
+        return ((), frozenset())
+
     def accepting(self, state: HState) -> bool:
         return True
 
@@ -103,6 +132,9 @@ class AllHorizontal(HorizontalLanguage):
 
     def step(self, state: HState, symbol: Symbol) -> HState | None:
         return 0 if symbol in self.allowed else None
+
+    def wake_keys(self) -> WakeKey | None:
+        return ((), self.allowed)
 
     def accepting(self, state: HState) -> bool:
         return True
@@ -128,6 +160,11 @@ class ShuffleHorizontal(HorizontalLanguage):
     ) -> None:
         self.fillers = frozenset(fillers)
         self.requirements = [frozenset(req) for req in requirements]
+        # a step needs the symbol as a filler or as some requirement
+        self._wake_keys = ((), self.fillers.union(*self.requirements))
+
+    def wake_keys(self) -> WakeKey | None:
+        return self._wake_keys
 
     def structure_key(self) -> Hashable:
         return ("shuffle", self.fillers, tuple(self.requirements))
@@ -166,6 +203,29 @@ class DFAHorizontal(HorizontalLanguage):
     def __init__(self, dfa: DFA) -> None:
         self.dfa = dfa
         self._live = dfa.live_states()
+        self._wake_keys = self._live_labels()
+
+    def _live_labels(self) -> WakeKey | None:
+        # a run only ever sits in the start state or a live state;
+        # labels outside the alphabet take the OTHER edge, so one live
+        # OTHER edge lets every symbol step
+        dfa = self.dfa
+        sources = self._live | {dfa.start}
+        if any(dfa.other[state] in self._live for state in sources):
+            return None
+        return (
+            (),
+            frozenset(
+                label
+                for state in sources
+                for label, target in dfa.transitions[state].items()
+                if target in self._live
+            ),
+        )
+
+    def wake_keys(self) -> WakeKey | None:
+        """Labels with a live transition out of a state a run can occupy."""
+        return self._wake_keys
 
     def initial(self) -> HState:
         return self.dfa.start
@@ -208,6 +268,13 @@ class ProjectedHorizontal(HorizontalLanguage):
     def step(self, state: HState, symbol: Symbol) -> HState | None:
         return self.inner.step(state, self.projection(symbol))
 
+    def wake_keys(self) -> WakeKey | None:
+        inner = self.inner.wake_keys()
+        if inner is None:
+            return None
+        path, values = inner
+        return ((self.projection,) + path, values)
+
     def accepting(self, state: HState) -> bool:
         return self.inner.accepting(state)
 
@@ -236,6 +303,16 @@ class ProductHorizontal(HorizontalLanguage):
                 return None
             advanced.append(next_state)
         return tuple(advanced)
+
+    def wake_keys(self) -> WakeKey | None:
+        # every part must step, so any part's key is sound: take the
+        # most selective (fewest admitted values; first on ties)
+        best: WakeKey | None = None
+        for part in self.parts:
+            key = part.wake_keys()
+            if key is not None and (best is None or len(key[1]) < len(best[1])):
+                best = key
+        return best
 
     def accepting(self, state: HState) -> bool:
         assert isinstance(state, tuple)

@@ -14,14 +14,32 @@ worklist:
   horizontal states reachable from the initial state via words over the
   currently-inhabited symbols;
 * when a new symbol becomes inhabited it is pushed on a queue; each
-  still-active rule *extends* its frontier (new symbol from the old
-  frontier, then closure of the newly reached states under all inhabited
-  symbols) instead of recomputing it;
+  still-active rule that can read it *extends* its frontier (new symbol
+  from the old frontier, then closure of the newly reached states under
+  the inhabited symbols it can read) instead of recomputing it;
 * a rule fires the moment its frontier touches an accepting horizontal
   state; the fired state is enqueued and the rule retires.
 
 Each (rule, horizontal-state, symbol) edge is therefore traversed at
-most once over the whole fixpoint.  Vertical states — nested product
+most once over the whole fixpoint.
+
+A new symbol is not offered to every active rule, only to those that can
+read it.  Each horizontal language reports a conservative
+:meth:`~repro.tautomata.horizontal.HorizontalLanguage.wake_keys`: a
+projection path and a finite value set (or ``None``, "may read
+anything").  The engine keeps a *wake index* of two maps, ``(path,
+value) -> searches`` and ``(path, value) -> inhabited symbols``: a new
+symbol is projected along every registered path and wakes the searches
+filed under its projections plus the unkeyed ones, and a search's
+closure (and its catch-up when it is installed late) iterates only the
+inhabited symbols its key admits.  The soundness condition is that
+``step(q, s) is not None`` for a reachable ``q`` implies ``project(s,
+path) in values``; a skipped search then cannot step on the symbol from
+any frontier state, so skipping it changes the step count and nothing
+else.  Woken searches are visited in registration order, which makes
+firings, firing words and witnesses identical to a scan of every search.
+
+Vertical states — nested product
 tuples in the IC pipeline — are interned to dense ints
 (:mod:`repro.tautomata.intern`), so inhabitation membership on the hot
 path is one bit test in an integer bitmask rather than a tuple-hashing
@@ -55,10 +73,12 @@ to exactly the fixpoint a cold engine over the surviving rules reaches.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable, Sequence
+from operator import attrgetter
 
 from repro.limits import BudgetMeter
 from repro.tautomata.hedge import LabelSpec, Rule, State
+from repro.tautomata.horizontal import Path, WakeKey, project
 from repro.tautomata.intern import InternTable
 from repro.xmlmodel.tree import NodeType, label_node_type
 
@@ -77,17 +97,33 @@ def spec_has_element_label(spec: LabelSpec) -> bool:
     )
 
 
+#: searches are visited in this order, whichever index woke them
+_ORDER = attrgetter("order")
+
+#: projected value -> searches (or inhabited symbols) filed under it
+_Buckets = dict[Hashable, list]
+
+
 class _Search:
     """Persistent frontier of one rule's horizontal automaton."""
 
-    __slots__ = ("rule", "frontier", "parents", "fired")
+    __slots__ = ("rule", "key", "frontier", "parents", "order", "retired")
 
-    def __init__(self, rule: Rule, record_parents: bool) -> None:
+    def __init__(self, rule: Rule, key: WakeKey | None, record_parents: bool) -> None:
         self.rule = rule
+        #: the horizontal's wake key; ``None`` = woken by every symbol
+        self.key = key
         self.frontier = {rule.horizontal.initial()}
         # h-state -> (previous h-state, symbol); the initial state has no entry
         self.parents: dict | None = {} if record_parents else None
-        self.fired = False
+        #: (group rank, install number), set at registration
+        self.order: tuple[int, int] = (0, 0)
+        #: fired, retired with its state, or dropped by retraction
+        self.retired = False
+
+    def retire(self) -> None:
+        self.retired = True
+        self.frontier = self.parents = None  # index buckets may keep the shell
 
 
 class InhabitationEngine:
@@ -108,10 +144,11 @@ class InhabitationEngine:
     ``meter``
         an optional started :class:`~repro.limits.BudgetMeter`: every
         registered rule and newly inhabited state is charged against it
-        and every horizontal step ticks it, so a budgeted fixpoint stops
-        with :class:`~repro.limits.BudgetExceeded` at the first
-        checkpoint past a limit.  ``None`` (the default) adds no
-        bookkeeping to any hot path.
+        and every advanced search ticks it once with its step count, so
+        a budgeted fixpoint stops with
+        :class:`~repro.limits.BudgetExceeded` at the first checkpoint
+        past a limit.  ``None`` (the default) adds no bookkeeping to any
+        hot path.
     ``incremental``
         keep the live-rule registry and per-derivation support needed by
         :meth:`retract_rules` (forces ``record_parents`` so firing words
@@ -146,17 +183,22 @@ class InhabitationEngine:
         #: worklist rounds completed: symbols propagated by :meth:`run`
         self.rounds = 0
         self._symbols: list[State] = []  # inhabited, in discovery order
+        self._rank: dict[State, int] = {}  # symbol -> round it was propagated
         # Vertical states are interned to dense ints; inhabitation
         # membership is then one bit in ``_fired_mask`` instead of a
-        # tuple-hashing dict probe per (search, round).  When rules are
-        # not individually tracked, active searches are grouped by their
-        # interned state id so a firing retires the whole group with a
-        # single dict pop (the flat-list engine re-skipped them every
-        # remaining round).
+        # tuple-hashing dict probe per (search, round).  Registered
+        # searches are grouped by their interned state id, so when rules
+        # are not individually tracked a firing retires the whole group
+        # with a single dict pop.
         self._state_ids = InternTable()
         self._fired_mask = 0
         self._active: dict[int, list[_Search]] = {}
-        self._searches: list[_Search] = []  # track_rules=True keeps all
+        self._installs = 0
+        # The wake index, per registered key path: searches by the
+        # projected values their keys admit, and inhabited symbols by
+        # their projection.  Buckets drop retired searches lazily.
+        self._paths: dict[Path, tuple[_Buckets, _Buckets]] = {}
+        self._unkeyed: list[_Search] = []
         self._queue: deque[State] = deque()
 
     # ------------------------------------------------------------------
@@ -173,11 +215,9 @@ class InhabitationEngine:
 
     def _install(self, rule: Rule, charge: bool) -> None:
         """Create (or re-create, on retraction rebuild) a rule's search."""
-        state_id = -1
-        if not self.track_rules:
-            state_id = self._state_ids.intern(rule.state)
-            if (self._fired_mask >> state_id) & 1:
-                return
+        state_id = self._state_ids.intern(rule.state)
+        if not self.track_rules and (self._fired_mask >> state_id) & 1:
+            return
         if charge:
             self.rule_count += 1
             if self.meter is not None:
@@ -191,14 +231,67 @@ class InhabitationEngine:
         if self.typed and not spec_has_element_label(rule.labels):
             # leaf-only labels cannot carry children: the rule is dead
             return
-        search = _Search(rule, self.record_parents)
+        search = _Search(rule, horizontal.wake_keys(), self.record_parents)
         if self._symbols:
-            self._advance(search, self._symbols)
-        if not search.fired:
-            if self.track_rules:
-                self._searches.append(search)
+            symbols = self._admitted_symbols(search.key)
+            if symbols:
+                self._advance(search, symbols, symbols)
+        if not search.retired:
+            self._register(search, state_id)
+
+    def _register(self, search: _Search, state_id: int) -> None:
+        """File a live search under its state group and its wake key."""
+        self._installs += 1
+        group = self._active.setdefault(state_id, [])
+        # untracked runs visit state groups in creation order (a group
+        # ranks by its first install), then each group in install order
+        rank = 0
+        if not self.track_rules:
+            rank = group[0].order[0] if group else self._installs
+        search.order = (rank, self._installs)
+        group.append(search)
+        if search.key is None:
+            self._unkeyed.append(search)
+            return
+        path, values = search.key
+        searches, _ = self._path_index(path)
+        for value in values:
+            bucket = searches.get(value)
+            if bucket is None:
+                searches[value] = [search]
             else:
-                self._active.setdefault(state_id, []).append(search)
+                bucket.append(search)
+
+    def _path_index(self, path: Path) -> tuple[_Buckets, _Buckets]:
+        """(searches, inhabited symbols) by projected value along ``path``.
+
+        Made on first use, filing the symbols already inhabited.
+        """
+        index = self._paths.get(path)
+        if index is None:
+            symbols: _Buckets = {}
+            for symbol in self._symbols:
+                symbols.setdefault(project(symbol, path), []).append(symbol)
+            index = self._paths[path] = ({}, symbols)
+        return index
+
+    def _admitted_symbols(self, key: WakeKey | None) -> list[State]:
+        """The inhabited symbols a key admits, in discovery order."""
+        if key is None:
+            return self._symbols
+        path, values = key
+        _, table = self._path_index(path)
+        if len(values) < len(table):
+            groups = [table[value] for value in values if value in table]
+        else:
+            groups = [
+                symbols for value, symbols in table.items() if value in values
+            ]
+        if len(groups) == 1:
+            return groups[0]
+        merged = [symbol for symbols in groups for symbol in symbols]
+        merged.sort(key=self._rank.__getitem__)
+        return merged
 
     def add_rules(self, rules: Iterable[Rule]) -> None:
         """Register several rules (see :meth:`add_rule`)."""
@@ -273,23 +366,38 @@ class InhabitationEngine:
 
         for state in dead:
             del self.firings[state]
+            del self._rank[state]
             self._fired_mask &= ~(1 << self._state_ids.intern(state))
         if dead:
             self._symbols = [
                 symbol for symbol in self._symbols if symbol not in dead
             ]
+            for _, table in self._paths.values():
+                for symbols in table.values():
+                    symbols[:] = [s for s in symbols if s not in dead]
 
-        rebuild: list[Rule] = []
-        if self.track_rules:
-            survivors = []
-            for search in self._searches:
-                if id(search.rule) in removed:
+        # drop retracted searches, rebuild the ones that consumed a dead
+        # symbol, in the order the fixpoint visits them
+        stale: list[_Search] = []
+        for state_id, group in list(self._active.items()):
+            kept = []
+            for search in group:
+                if search.retired:
                     continue
-                if dead and self._search_consumed(search) & dead:
-                    rebuild.append(search.rule)
+                if id(search.rule) in removed:
+                    search.retire()
+                elif dead and self._search_consumed(search) & dead:
+                    search.retire()
+                    stale.append(search)
                 else:
-                    survivors.append(search)
-            self._searches = survivors
+                    kept.append(search)
+            if kept:
+                self._active[state_id] = kept
+            else:
+                del self._active[state_id]
+        stale.sort(key=_ORDER)
+        rebuild = [search.rule for search in stale]
+        if self.track_rules:
             # a fired rule's proof dies with its word (or its state: a
             # rebuilt search re-fires it at once, avoiding duplicates)
             kept_fired: list[Rule] = []
@@ -308,26 +416,12 @@ class InhabitationEngine:
                     continue
                 kept_fired.append(rule)
             self.fired_rules = kept_fired
-        else:
-            for state_id, group in list(self._active.items()):
-                kept = []
-                for search in group:
-                    if id(search.rule) in removed:
-                        continue
-                    if dead and self._search_consumed(search) & dead:
-                        rebuild.append(search.rule)
-                    else:
-                        kept.append(search)
-                if kept:
-                    self._active[state_id] = kept
-                else:
-                    del self._active[state_id]
-            if dead:
-                # searches of fired states were retired at fire time;
-                # their live rules come back from the registry
-                for rule in self._live.values():
-                    if rule.state in dead:
-                        rebuild.append(rule)
+        elif dead:
+            # searches of fired states were retired at fire time;
+            # their live rules come back from the registry
+            for rule in self._live.values():
+                if rule.state in dead:
+                    rebuild.append(rule)
 
         stats["rebuilt_searches"] = len(rebuild)
         surviving = len(self.firings)
@@ -342,84 +436,105 @@ class InhabitationEngine:
     # ------------------------------------------------------------------
 
     def run(self) -> None:
-        """Propagate queued symbols until no rule can make progress."""
+        """Propagate queued symbols until no rule can make progress.
+
+        Each symbol wakes only the searches whose wake key admits it
+        (plus the unkeyed ones); a search outside that set cannot step
+        on the symbol from any frontier state, so skipping it changes
+        nothing but the step count.  Woken searches are visited in
+        registration order, exactly as a scan of every search would.
+        """
         while self._queue:
             symbol = self._queue.popleft()
             self.rounds += 1
             self._symbols.append(symbol)
+            self._rank[symbol] = self.rounds
+            buckets = [self._unkeyed]
+            for path, (searches, symbols) in self._paths.items():
+                value = project(symbol, path)
+                admitted = symbols.get(value)
+                if admitted is None:
+                    symbols[value] = [symbol]
+                else:
+                    admitted.append(symbol)
+                bucket = searches.get(value)
+                if bucket:
+                    buckets.append(bucket)
+            woken: list[_Search] = []
+            for bucket in buckets:
+                live = [search for search in bucket if not search.retired]
+                if len(live) < len(bucket):
+                    bucket[:] = live
+                woken.extend(live)
+            woken.sort(key=_ORDER)
             new_symbol = (symbol,)
-            if self.track_rules:
-                survivors = []
-                for search in self._searches:
+            for search in woken:
+                # a firing earlier this round may have retired it
+                if not search.retired:
                     self._advance(search, new_symbol)
-                    if not search.fired:
-                        survivors.append(search)
-                self._searches = survivors
-            else:
-                # snapshot: _fire pops groups out of _active mid-round
-                for state_id, group in list(self._active.items()):
-                    if (self._fired_mask >> state_id) & 1:
-                        continue  # retired earlier this round
-                    for search in group:
-                        self._advance(search, new_symbol)
-                        if search.fired:
-                            # _fire retired the whole group; the rest of
-                            # these searches prove nothing new
-                            break
 
-    def _advance(self, search: _Search, new_symbols: Iterable[State]) -> None:
+    def _advance(
+        self,
+        search: _Search,
+        new_symbols: Sequence[State],
+        closure: Sequence[State] | None = None,
+    ) -> None:
         """Extend the frontier with newly available symbols.
 
         New symbols are tried from every existing frontier state; states
-        reached that way are then closed under *all* inhabited symbols.
-        The frontier stays exactly the set of horizontal states reachable
-        over inhabited-symbol words, and each (state, symbol) pair is
-        attempted once over the search's lifetime.
+        reached that way are then closed under every inhabited symbol
+        the search's wake key admits (``closure``, looked up on demand).
+        The frontier stays exactly the set of horizontal states
+        reachable over inhabited-symbol words, and each (state, admitted
+        symbol) pair is attempted once over the search's lifetime.
         """
         horizontal = search.rule.horizontal
+        step = horizontal.step
+        accepting = horizontal.accepting
         frontier = search.frontier
         parents = search.parents
-        meter = self.meter
         fresh: deque[State] = deque()
         steps = 0
+        accepted = None
         for h_state in tuple(frontier):
             for symbol in new_symbols:
                 steps += 1
-                if meter is not None:
-                    meter.tick()
-                target = horizontal.step(h_state, symbol)
+                target = step(h_state, symbol)
                 if target is None or target in frontier:
                     continue
                 frontier.add(target)
                 if parents is not None:
                     parents[target] = (h_state, symbol)
-                if horizontal.accepting(target):
-                    self.step_attempts += steps
-                    self._fire_search(search, target)
-                    return
+                if accepting(target):
+                    accepted = target
+                    break
                 fresh.append(target)
-        all_symbols = self._symbols
-        while fresh:
-            h_state = fresh.popleft()
-            for symbol in all_symbols:
-                steps += 1
-                if meter is not None:
-                    meter.tick()
-                target = horizontal.step(h_state, symbol)
-                if target is None or target in frontier:
-                    continue
-                frontier.add(target)
-                if parents is not None:
-                    parents[target] = (h_state, symbol)
-                if horizontal.accepting(target):
-                    self.step_attempts += steps
-                    self._fire_search(search, target)
-                    return
-                fresh.append(target)
+            if accepted is not None:
+                break
+        if fresh and accepted is None:
+            if closure is None:
+                closure = self._admitted_symbols(search.key)
+            while fresh and accepted is None:
+                h_state = fresh.popleft()
+                for symbol in closure:
+                    steps += 1
+                    target = step(h_state, symbol)
+                    if target is None or target in frontier:
+                        continue
+                    frontier.add(target)
+                    if parents is not None:
+                        parents[target] = (h_state, symbol)
+                    if accepting(target):
+                        accepted = target
+                        break
+                    fresh.append(target)
         self.step_attempts += steps
+        if self.meter is not None:
+            self.meter.tick(steps)
+        if accepted is not None:
+            self._fire_search(search, accepted)
 
     def _fire_search(self, search: _Search, accepted: State) -> None:
-        search.fired = True
         word: tuple[State, ...] = ()
         if search.parents is not None:
             reversed_word = []
@@ -428,6 +543,7 @@ class InhabitationEngine:
                 current, symbol = search.parents[current]
                 reversed_word.append(symbol)
             word = tuple(reversed(reversed_word))
+        search.retire()
         self._fire(search.rule, word)
 
     def _fire(self, rule: Rule, word: tuple[State, ...]) -> None:
@@ -442,7 +558,10 @@ class InhabitationEngine:
             self._queue.append(rule.state)
             state_id = self._state_ids.intern(rule.state)
             self._fired_mask |= 1 << state_id
-            self._active.pop(state_id, None)  # retire the whole group
+            if not self.track_rules:
+                # retire the whole group: its other rules prove nothing new
+                for search in self._active.pop(state_id, ()):
+                    search.retire()
 
     # ------------------------------------------------------------------
     # results

@@ -12,9 +12,14 @@ Constraints provided by :func:`library_fds`:
 * ``isbn-title`` — @isbn determines the title (a value FD);
 * ``publisher-city`` — a publisher name determines its city.
 
-Update classes from :func:`library_update_classes`: price rewrites
-(certified independent of all three), title rewrites (dangerous for
-``isbn-title``), and citation insertions under reviews.
+Update classes from :func:`library_update_classes`: price rewrites,
+title rewrites, review-grade rewrites and publisher-city rewrites.
+The criterion IC (with or without :func:`library_schema`) certifies
+price rewrites independent of ``isbn-title`` and ``publisher-city`` but
+not of ``isbn-key``: a key's target is the whole book node, so the FD's
+trace covers every price, title and review below it and IC answers
+POSSIBLY_DEPENDENT for all three book-level classes.  Title rewrites are
+also dangerous for ``isbn-title``, city rewrites for ``publisher-city``.
 """
 
 from __future__ import annotations

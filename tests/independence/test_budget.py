@@ -125,6 +125,55 @@ class TestUnknownVerdict:
         assert result.partial is not None
 
 
+class TestDeadlineInsideTheFixpoint:
+    """The amortized deadline read still fires inside a long fixpoint.
+
+    The engine ticks the meter once per *woken* search; searches its
+    wake index skips tick nothing.  A long FD-chain x U-chain cell must
+    still hit the deadline from those ticks alone, with no phase
+    boundary in between, so a deadline-budgeted cell (and the service,
+    whose watchdog answers all-UNKNOWN on top of it) stays bounded.
+    """
+
+    def test_long_chain_cell_stops_inside_the_product_fixpoint(self):
+        from repro.independence.language import (
+            dangerous_factors,
+            explore_dangerous_factors,
+        )
+        from repro.limits import BudgetExceeded
+        from tests.tautomata.test_wake_index import _chain_fd, _chain_update
+
+        pattern_automaton, update_automaton, _ = dangerous_factors(
+            _chain_fd(32).pattern, _chain_update(32)
+        )
+        cache: dict = {}  # factor fixpoints run (unbudgeted) up front
+        full = explore_dangerous_factors(
+            pattern_automaton, update_automaton, factor_cache=cache
+        )
+        meter = Budget(deadline_ms=0).start()
+        with pytest.raises(BudgetExceeded) as excinfo:
+            explore_dangerous_factors(
+                pattern_automaton, update_automaton, factor_cache=cache,
+                meter=meter,
+            )
+        partial = excinfo.value.partial
+        assert partial.reason == DEADLINE
+        assert 0 < partial.step_attempts < full.stats.step_attempts
+        assert partial.explored_states < full.stats.explored_states
+
+    def test_deadline_budgeted_chain_matrix_is_all_unknown(self):
+        from repro.independence.matrix import check_independence_matrix
+        from tests.tautomata.test_wake_index import _chain_fd, _chain_update
+
+        matrix = check_independence_matrix(
+            [_chain_fd(32)], [_chain_update(32)],
+            budget=Budget(deadline_ms=0),
+        )
+        cells = [cell for row in matrix.cells for cell in row]
+        assert [cell.verdict for cell in cells] == [Verdict.UNKNOWN]
+        assert cells[0].partial.reason == DEADLINE
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("seed", range(15))
     def test_capped_runs_stop_at_identical_snapshots(self, seed):
