@@ -99,7 +99,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.errors import ParseError, ReproError
+from repro.errors import ParseError, ReproError, XMLParseError
 from repro.fd.linear import LinearFD, translate_linear_fd
 from repro.fd.satisfaction import check_fd
 from repro.independence.criterion import check_independence
@@ -412,10 +412,20 @@ def _run_audit(args: argparse.Namespace) -> int:
 
 def _cmd_stream_check(args: argparse.Namespace) -> int:
     from repro.fd.streaming import StreamingFDValidator
+    from repro.limits import ParseBudget
 
     linear = LinearFD.parse(args.fd, name="cli-fd")
     validator = StreamingFDValidator(linear)
-    report = validator.validate_text(Path(args.document).read_text())
+    raw = Path(args.document).read_bytes()
+    try:
+        source = raw.decode("utf-8")
+    except UnicodeDecodeError as error:
+        raise XMLParseError(
+            f"not valid UTF-8: {error.reason} at byte {error.start}",
+            error.start,
+        ) from None
+    # the document is untrusted input: guarded as audit guards it
+    report = validator.validate_text(source, limits=ParseBudget.default())
     status = "SATISFIED" if report.satisfied else "VIOLATED"
     print(
         f"cli-fd: {status} ({report.assignment_count} assignments over "

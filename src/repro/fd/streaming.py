@@ -31,6 +31,7 @@ from collections.abc import Iterable
 from repro.errors import FDError
 from repro.fd.fd import EqualityType
 from repro.fd.linear import LinearFD
+from repro.limits import ParseBudget
 from repro.xmlmodel.events import END, START, Event, iter_events, parse_events
 from repro.xmlmodel.tree import XMLDocument
 
@@ -157,9 +158,15 @@ class StreamingFDValidator:
         """Validate an in-memory document via its event stream."""
         return self.validate_events(iter_events(document))
 
-    def validate_text(self, source: str) -> StreamingReport:
-        """Validate XML text without building a tree."""
-        return self.validate_events(parse_events(source))
+    def validate_text(
+        self, source: str, limits: ParseBudget | None = None
+    ) -> StreamingReport:
+        """Validate XML text without building a tree.
+
+        ``limits`` guards the parse exactly as in
+        :func:`~repro.xmlmodel.parser.parse_document`.
+        """
+        return self.validate_events(parse_events(source, limits=limits))
 
     def validate_events(self, events: Iterable[Event]) -> StreamingReport:
         """Validate an arbitrary event stream."""

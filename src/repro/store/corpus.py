@@ -642,7 +642,7 @@ class CorpusStore:
                     SATISFIED if outcome.satisfied else VIOLATED
                 )
                 continue
-            state = FDIndexState.from_document(fd, document)
+            state = FDIndexState.from_document(fd, document, fingerprint)
             if use_index:
                 self.backend.put_index_state(
                     name, fingerprint, state.to_json_dict()

@@ -123,8 +123,12 @@ class FDIndexState:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def from_index(cls, index: FDIndex) -> "FDIndexState":
-        """Snapshot a live index (canonical group/target ordering)."""
+    def from_index(cls, index: FDIndex, fingerprint: str) -> "FDIndexState":
+        """Snapshot a live index (canonical group/target ordering).
+
+        ``fingerprint`` is ``fingerprint_fd(index.fd)``, passed in so a
+        corpus check computes it once per FD, not once per document.
+        """
         table = index.group_table()
         groups = tuple(
             sorted(
@@ -145,7 +149,7 @@ class FDIndexState:
         )
         return cls(
             fd_name=index.fd.name,
-            fd_fingerprint=fingerprint_fd(index.fd),
+            fd_fingerprint=fingerprint,
             satisfied=index.is_satisfied(),
             mapping_count=index.mapping_count,
             group_count=index.group_count,
@@ -154,12 +158,15 @@ class FDIndexState:
 
     @classmethod
     def from_document(
-        cls, fd: FunctionalDependency, document: XMLDocument
+        cls,
+        fd: FunctionalDependency,
+        document: XMLDocument,
+        fingerprint: str,
     ) -> "FDIndexState":
         """Build a fresh index for ``document`` and snapshot it."""
         index = FDIndex(fd, document, reuse_matcher=True)
         try:
-            return cls.from_index(index)
+            return cls.from_index(index, fingerprint)
         finally:
             index.close()
 

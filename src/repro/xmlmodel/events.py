@@ -6,28 +6,23 @@ Three event kinds, as ``(kind, payload)`` tuples:
 * ``("end", label)`` — an element closes;
 * ``("leaf", (label, value))`` — an attribute or text node.
 
-Streams come either from an in-memory tree (:func:`iter_events`) or
-directly from XML text (:func:`parse_events`), which never materializes
-the tree — the substrate for the streaming FD validator of
+Streams come from two sources with one shape.  :func:`iter_events`
+walks an in-memory tree; :func:`parse_events` reads XML text through
+the tokenizer the tree parser itself consumes
+(:func:`repro.xmlmodel.parser.tokenize`) and never materializes the
+tree — the substrate for the streaming FD validator of
 :mod:`repro.fd.streaming`.  The reserved document root ``'/'`` is
-included as the outermost start/end pair so consumers see the same shape
-the tree model has.
+included as the outermost start/end pair, so
+``list(parse_events(text)) == list(iter_events(parse_document(text)))``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.errors import XMLParseError
-from repro.xmlmodel.parser import _Scanner, _decode_entities, _skip_misc
+from repro.limits import ParseBudget
+from repro.xmlmodel.parser import END, LEAF, START, Event, tokenize
 from repro.xmlmodel.tree import NodeType, ROOT_LABEL, XMLDocument, XMLNode
-
-Event = tuple[str, object]
-
-START = "start"
-END = "end"
-LEAF = "leaf"
-
 
 def iter_events(document: XMLDocument | XMLNode) -> Iterator[Event]:
     """Stream a tree as events (depth-first, document order).
@@ -57,115 +52,16 @@ def iter_events(document: XMLDocument | XMLNode) -> Iterator[Event]:
 
 
 def parse_events(
-    source: str, keep_whitespace: bool = False
+    source: str,
+    keep_whitespace: bool = False,
+    limits: ParseBudget | None = None,
 ) -> Iterator[Event]:
     """Stream XML text as events without building a tree.
 
-    Accepts the same dialect as :func:`repro.xmlmodel.parser.parse_document`
-    (elements, attributes, text with entities, CDATA, comments, PIs) and
-    wraps the document element in the reserved ``'/'`` root events.
+    The events of :func:`repro.xmlmodel.parser.tokenize` wrapped in the
+    reserved ``'/'`` root pair: the same dialect, errors and ``limits``
+    guards as :func:`repro.xmlmodel.parser.parse_document`.
     """
-    scanner = _Scanner(source)
-    _skip_misc(scanner)
-    if scanner.startswith("<!DOCTYPE"):
-        raise XMLParseError("DOCTYPE declarations are not supported", scanner.pos)
     yield (START, ROOT_LABEL)
-    yield from _stream_element(scanner, keep_whitespace)
-    _skip_misc(scanner)
-    if not scanner.at_end():
-        raise XMLParseError("trailing content after document element", scanner.pos)
+    yield from tokenize(source, keep_whitespace, limits)
     yield (END, ROOT_LABEL)
-
-
-def _stream_tag(scanner: _Scanner) -> tuple[str, bool, list[Event]]:
-    """Read one start tag; returns (name, self-closing, attribute events)."""
-    scanner.expect("<")
-    name = scanner.read_name()
-    attribute_events: list[Event] = []
-    while True:
-        scanner.skip_whitespace()
-        if scanner.at_end() or scanner.peek() in ">/":
-            break
-        attribute = scanner.read_name()
-        scanner.skip_whitespace()
-        scanner.expect("=")
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in "\"'":
-            raise XMLParseError("attribute value must be quoted", scanner.pos)
-        scanner.advance()
-        start = scanner.pos
-        raw = scanner.read_until(quote)
-        attribute_events.append(
-            (LEAF, (f"@{attribute}", _decode_entities(raw, start)))
-        )
-    scanner.skip_whitespace()
-    if scanner.startswith("/>"):
-        scanner.advance(2)
-        return name, True, attribute_events
-    scanner.expect(">")
-    return name, False, attribute_events
-
-
-def _stream_element(scanner: _Scanner, keep_whitespace: bool) -> Iterator[Event]:
-    """Stream one element's subtree iteratively (depth-safe)."""
-    name, closed, attribute_events = _stream_tag(scanner)
-    yield (START, name)
-    yield from attribute_events
-    if closed:
-        yield (END, name)
-        return
-
-    stack: list[str] = [name]
-    buffer: list[str] = []
-
-    def flush() -> Iterator[Event]:
-        if buffer:
-            joined = "".join(buffer)
-            buffer.clear()
-            if joined.strip() or keep_whitespace:
-                yield (LEAF, ("#text", joined))
-
-    while stack:
-        if scanner.at_end():
-            raise XMLParseError(f"unclosed element <{stack[-1]}>", scanner.pos)
-        if scanner.startswith("</"):
-            yield from flush()
-            scanner.advance(2)
-            closing = scanner.read_name()
-            if closing != stack[-1]:
-                raise XMLParseError(
-                    f"mismatched end tag </{closing}> for <{stack[-1]}>",
-                    scanner.pos,
-                )
-            scanner.skip_whitespace()
-            scanner.expect(">")
-            stack.pop()
-            yield (END, closing)
-        elif scanner.startswith("<!--"):
-            yield from flush()
-            scanner.advance(4)
-            scanner.read_until("-->")
-        elif scanner.startswith("<![CDATA["):
-            scanner.advance(9)
-            buffer.append(scanner.read_until("]]>"))
-        elif scanner.startswith("<?"):
-            yield from flush()
-            scanner.advance(2)
-            scanner.read_until("?>")
-        elif scanner.startswith("<"):
-            yield from flush()
-            child, child_closed, child_attributes = _stream_tag(scanner)
-            yield (START, child)
-            yield from child_attributes
-            if child_closed:
-                yield (END, child)
-            else:
-                stack.append(child)
-        else:
-            start = scanner.pos
-            while not scanner.at_end() and scanner.peek() != "<":
-                scanner.advance()
-            buffer.append(
-                _decode_entities(scanner.source[start : scanner.pos], start)
-            )

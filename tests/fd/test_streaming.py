@@ -83,6 +83,17 @@ class TestValidator:
         source = serialize_document(generate_session(10, seed=2))
         assert StreamingFDValidator(EXPR1).validate_text(source).satisfied
 
+    def test_validate_text_threads_the_parse_budget(self):
+        from repro.errors import DepthLimitError
+        from repro.limits import ParseBudget
+
+        validator = StreamingFDValidator(EXPR1)
+        source = "<session>" * 20 + "</session>" * 20
+        assert validator.validate_text(source).satisfied
+        with pytest.raises(DepthLimitError) as excinfo:
+            validator.validate_text(source, limits=ParseBudget(max_depth=5))
+        assert excinfo.value.position == 5 * len("<session>")
+
     def test_node_equality_target(self):
         validator = StreamingFDValidator(EXPR2)
         assert validator.validate_document(paper_document()).satisfied

@@ -127,6 +127,31 @@ class TestCheck:
             d.verdicts for d in cold.documents
         ]
 
+    def test_cold_check_fingerprints_each_fd_once(self, store, monkeypatch):
+        """One fingerprint per FD per check, not per (document, FD)."""
+        import repro.store.corpus as corpus_module
+        import repro.store.fdstate as fdstate_module
+
+        calls = []
+        fingerprint = fdstate_module.fingerprint_fd
+
+        def counted(fd):
+            calls.append(fd.name)
+            return fingerprint(fd)
+
+        monkeypatch.setattr(corpus_module, "fingerprint_fd", counted)
+        monkeypatch.setattr(fdstate_module, "fingerprint_fd", counted)
+        for index in range(4):
+            store.put_document(
+                f"d{index}.xml", generate_library(books=2, seed=index)
+            )
+        fds = library_fds()
+        report = store.check_fd_corpus(fds)
+        assert report.indexed_documents == 4 * len(fds)
+        assert sorted(calls) == sorted(fd.name for fd in fds)
+        # the persisted states carry the same fingerprints
+        assert store.check_fd_corpus(fds).index_hits == 4 * len(fds)
+
     def test_exhausted_budget_is_unknown_not_wrong(self, store):
         store.put_document("d.xml", generate_library(books=2, seed=0))
         report = store.check_fd_corpus(

@@ -110,17 +110,17 @@ class TestFDStatePersistence:
             violate_title=1 if seed % 7 == 0 else 0,
         )
         fd = library_fds()[seed % len(library_fds())]
-        state = FDIndexState.from_document(fd, document)
+        state = FDIndexState.from_document(fd, document, fingerprint_fd(fd))
         reloaded = FDIndexState.from_json_dict(state.to_json_dict())
         assert reloaded == state
         # and a *fresh* index over the same document agrees completely
-        fresh = FDIndexState.from_document(fd, document)
+        fresh = FDIndexState.from_document(fd, document, fingerprint_fd(fd))
         assert fresh == reloaded
 
     def test_state_survives_sqlite(self, tmp_path):
         document = generate_library(books=3, seed=9, violate_key=1)
         fd = library_fds()[0]
-        state = FDIndexState.from_document(fd, document)
+        state = FDIndexState.from_document(fd, document, fingerprint_fd(fd))
         backend = SqliteBackend(tmp_path / "s.db")
         backend.put_document(
             "d.xml", "sha", encode_document(document)
@@ -143,7 +143,7 @@ class TestFDStatePersistence:
             )
         )
         document = generate_library(books=3, seed=2)
-        state = FDIndexState.from_document(fd, document)
+        state = FDIndexState.from_document(fd, document, fingerprint_fd(fd))
         assert FDIndexState.from_json_dict(state.to_json_dict()) == state
 
     def test_fingerprint_separates_different_fds(self):
@@ -153,7 +153,8 @@ class TestFDStatePersistence:
 
     def test_damaged_state_is_loud(self):
         document = generate_library(books=2, seed=1)
-        state = FDIndexState.from_document(library_fds()[0], document)
+        fd = library_fds()[0]
+        state = FDIndexState.from_document(fd, document, fingerprint_fd(fd))
         payload = state.to_json_dict()
         payload["groups"] = [[[{"zz": 1}], []]]
         with pytest.raises(StoreError):

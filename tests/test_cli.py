@@ -459,6 +459,27 @@ class TestStreamCheck:
         stream_code = main(["stream-check", str(document), "--fd", FD])
         assert dom_code == stream_code
 
+    def test_guarded_by_default(self, tmp_path, capsys):
+        """A nesting bomb is refused by the default parse budget: a
+        one-line parse error, exit 2."""
+        bomb = tmp_path / "bomb.xml"
+        bomb.write_text("<orders>" * 1500 + "</orders>" * 1500)
+        code = main(["stream-check", str(bomb), "--fd", FD])
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.startswith("parse error: nesting exceeds depth limit 1000")
+        assert "near" in error
+
+    def test_malformed_and_undecodable_documents(self, tmp_path, capsys):
+        malformed = tmp_path / "malformed.xml"
+        malformed.write_text("<orders><order></orders>")
+        undecodable = tmp_path / "undecodable.xml"
+        undecodable.write_bytes(b"<orders>\xff</orders>")
+        for path in (malformed, undecodable):
+            assert main(["stream-check", str(path), "--fd", FD]) == 2
+            error = capsys.readouterr().err
+            assert error.startswith("parse error: ") and "at offset" in error
+
 
 class TestEvaluate:
     def test_matches(self, store, capsys):

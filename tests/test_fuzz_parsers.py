@@ -18,6 +18,7 @@ import pytest
 from repro.errors import ParseError
 from repro.regex.parser import parse_regex
 from repro.schema.dtd import Schema
+from repro.xmlmodel.events import parse_events
 from repro.xmlmodel.parser import parse_document
 from repro.xpath.parser import parse_xpath
 
@@ -54,6 +55,11 @@ VALID_SCHEMAS = [
     "# comment\nsession := candidate*\ncandidate := level exam*\n"
     "level := #text\nexam := #text",
 ]
+
+
+def stream_events(source, **options):
+    """The XML event stream, drained (``parse_events`` is lazy)."""
+    return list(parse_events(source, **options))
 
 
 def _mutate(rng: random.Random, source: str) -> str:
@@ -101,6 +107,11 @@ def test_xml_parser_only_raises_parse_errors(seed):
 
 
 @pytest.mark.parametrize("seed", range(3))
+def test_xml_event_stream_only_raises_parse_errors(seed):
+    _fuzz(stream_events, VALID_DOCUMENTS, seed)
+
+
+@pytest.mark.parametrize("seed", range(3))
 def test_regex_parser_only_raises_parse_errors(seed):
     _fuzz(parse_regex, VALID_REGEXES, seed)
 
@@ -117,11 +128,12 @@ def test_schema_parser_only_raises_parse_errors(seed):
 
 def test_parse_errors_carry_position_and_snippet():
     """The diagnostics the CLI renders: offset + source snippet."""
-    with pytest.raises(ParseError) as excinfo:
-        parse_document("<a><b></a>")
-    assert excinfo.value.position is not None
-    assert excinfo.value.snippet is not None
-    assert "near" in str(excinfo.value)
+    for parse in (parse_document, stream_events):
+        with pytest.raises(ParseError) as excinfo:
+            parse("<a><b></a>")
+        assert excinfo.value.position is not None
+        assert excinfo.value.snippet is not None
+        assert "near" in str(excinfo.value)
 
 
 # ----------------------------------------------------------------------
@@ -196,11 +208,12 @@ def _assert_only_parse_errors(parse, sources, limits):
     "parse, sources",
     [
         (parse_document, ADVERSARIAL_DOCUMENTS),
+        (stream_events, ADVERSARIAL_DOCUMENTS),
         (parse_regex, ADVERSARIAL_REGEXES),
         (parse_xpath, ADVERSARIAL_XPATHS),
         (Schema.parse_text, ADVERSARIAL_SCHEMAS),
     ],
-    ids=["xml", "regex", "xpath", "schema"],
+    ids=["xml", "events", "regex", "xpath", "schema"],
 )
 @pytest.mark.parametrize("guarded", [False, True], ids=["bare", "guarded"])
 def test_adversarial_inputs_only_raise_parse_errors(parse, sources, guarded):
@@ -215,6 +228,9 @@ def test_guards_refuse_adversarial_inputs_structurally():
         (parse_document, "<a>" * 10_000 + "</a>" * 10_000),
         (parse_document, '<a b="' + "x" * 2_000_000 + '"/>'),
         (parse_document, "<a>" + "&amp;" * 900_000 + "</a>"),
+        (stream_events, "<a>" * 10_000 + "</a>" * 10_000),
+        (stream_events, '<a b="' + "x" * 2_000_000 + '"/>'),
+        (stream_events, "<a>" + "&amp;" * 900_000 + "</a>"),
         (parse_regex, "(" * 10_000 + "a" + ")" * 10_000),
         (parse_xpath, "/a" + "[b" * 10_000 + "]" * 10_000),
         (Schema.parse_text, "a := " + "(" * 10_000 + "b" + ")" * 10_000),
