@@ -90,17 +90,20 @@ FLAGGED_RULES_PER_PAIR = 3
 
 
 def _fd_component(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
+    if not isinstance(symbol, tuple):
+        raise TypeError(f"not a product state: {symbol!r}")
     return symbol[0]
 
 
 def _u_component(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
+    if not isinstance(symbol, tuple):
+        raise TypeError(f"not a product state: {symbol!r}")
     return symbol[1]
 
 
 def _flag_component(symbol: State) -> bool:
-    assert isinstance(symbol, tuple)
+    if not isinstance(symbol, tuple):
+        raise TypeError(f"not a product state: {symbol!r}")
     return bool(symbol[2])
 
 

@@ -66,7 +66,7 @@ from repro.store.fdstate import FDIndexState, fingerprint_fd
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.tree import XMLDocument
 
-#: documents committed per bulk-load transaction (the durability chunk)
+#: documents per bulk-load or FD-check transaction (the durability chunk)
 DEFAULT_CHUNK_SIZE = 64
 
 #: per-document verdicts of a corpus FD check
@@ -528,6 +528,9 @@ class CorpusStore:
                         # UNKNOWN re-attempted on resume, like matrix cells
                         if check is not None and check.status != UNKNOWN:
                             restored[record["row"]] = check
+            # persisted index states are committed a chunk at a time
+            in_chunk = 0
+            self.backend.begin_chunk()
             try:
                 for index, name in enumerate(names):
                     prior = restored.get(index)
@@ -543,6 +546,11 @@ class CorpusStore:
                         use_index=use_index,
                     )
                     report.documents.append(check)
+                    in_chunk += 1
+                    if in_chunk >= DEFAULT_CHUNK_SIZE:
+                        self.backend.commit_chunk()
+                        in_chunk = 0
+                        self.backend.begin_chunk()
                     if store is not None:
                         store.record_cell(
                             {
@@ -556,10 +564,15 @@ class CorpusStore:
                     if _after_document is not None:
                         _after_document(index, check)
             except BaseException:
-                # keep the journal so resume=True can continue the run
-                if store is not None:
-                    store.close()
+                # keep the journal and the index states computed so far
+                # so resume=True can continue the run
+                try:
+                    self.backend.commit_chunk()
+                finally:
+                    if store is not None:
+                        store.close()
                 raise
+            self.backend.commit_chunk()
             if store is not None:
                 store.finalize(
                     {
@@ -605,9 +618,14 @@ class CorpusStore:
         indexed = 0
         document: XMLDocument | None = None
         meter = None if budget is None else budget.start()
+        # states put by this call: a backend need not read a state back
+        # before its chunk commits (a repeated FD finds it here)
+        written: dict[str, dict] = {}
         for fd, fingerprint in zip(fds, fingerprints):
             if use_index:
-                persisted = self.backend.get_index_state(name, fingerprint)
+                persisted = written.get(fingerprint)
+                if persisted is None:
+                    persisted = self.backend.get_index_state(name, fingerprint)
                 if persisted is not None:
                     try:
                         state = FDIndexState.from_json_dict(persisted)
@@ -644,9 +662,8 @@ class CorpusStore:
                 continue
             state = FDIndexState.from_document(fd, document, fingerprint)
             if use_index:
-                self.backend.put_index_state(
-                    name, fingerprint, state.to_json_dict()
-                )
+                payload = written[fingerprint] = state.to_json_dict()
+                self.backend.put_index_state(name, fingerprint, payload)
             indexed += 1
             verdicts[fd.name] = SATISFIED if state.satisfied else VIOLATED
         if any(verdict == VIOLATED for verdict in verdicts.values()):

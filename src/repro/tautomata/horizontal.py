@@ -15,7 +15,11 @@ automaton protocol:
   step if projecting it along ``path`` (a tuple of projection callables,
   applied left to right; see :func:`project`) lands in the finite set
   ``values``.  ``None`` means "may read anything".  The worklist engine
-  uses it to wake only the searches that can read a new symbol.
+  uses it to wake only the searches that can read a new symbol;
+* ``part_wake_keys()`` -- the keys of every conjunct at once: a symbol
+  can only step if it satisfies each of them.  A product lists its
+  parts' keys in part order and a projection prefixes its path, so the
+  engine can check every part of a product before stepping it.
 
 Symbols are hedge-automaton states (arbitrary hashable objects).  The
 instances cover everything the paper's constructions need: the shuffle
@@ -43,6 +47,26 @@ def project(symbol: Symbol, path: Path) -> Symbol:
     for projection in path:
         symbol = projection(symbol)
     return symbol
+
+
+#: what :func:`try_project` returns for a symbol its path cannot take;
+#: a fresh object, so it lies in no key's value set
+MISMATCH: Symbol = object()
+
+
+def try_project(symbol: Symbol, path: Path) -> Symbol:
+    """:func:`project`, or :data:`MISMATCH` for a symbol of another shape.
+
+    A symbol of another shape than the path expects -- a projection
+    raises ``TypeError`` or ``IndexError`` on it, such as a tuple
+    component of a plain label -- satisfies no key on that path: ``step``
+    reads a part's symbol through the same projection, so it cannot
+    step on that symbol either.
+    """
+    try:
+        return project(symbol, path)
+    except (TypeError, IndexError):
+        return MISMATCH
 
 
 class HorizontalLanguage:
@@ -83,6 +107,17 @@ class HorizontalLanguage:
         The base fallback, ``None``, admits every symbol — always sound.
         """
         return None
+
+    def part_wake_keys(self) -> tuple[WakeKey, ...]:
+        """The wake keys of every conjunct (see module docstring).
+
+        Soundness contract: whenever ``step(q, s)`` is not ``None`` for
+        a reachable state ``q``, ``project(s, path)`` is in ``values``
+        for *every* returned key.  A language that is not a conjunction
+        has one conjunct, itself: its own key, or none when unkeyed.
+        """
+        key = self.wake_keys()
+        return () if key is None else (key,)
 
     # convenience ------------------------------------------------------
 
@@ -275,6 +310,13 @@ class ProjectedHorizontal(HorizontalLanguage):
         path, values = inner
         return ((self.projection,) + path, values)
 
+    def part_wake_keys(self) -> tuple[WakeKey, ...]:
+        projection = (self.projection,)
+        return tuple(
+            (projection + path, values)
+            for path, values in self.inner.part_wake_keys()
+        )
+
     def accepting(self, state: HState) -> bool:
         return self.inner.accepting(state)
 
@@ -313,6 +355,10 @@ class ProductHorizontal(HorizontalLanguage):
             if key is not None and (best is None or len(key[1]) < len(best[1])):
                 best = key
         return best
+
+    def part_wake_keys(self) -> tuple[WakeKey, ...]:
+        # a step steps every part, so every part's keys must admit it
+        return tuple(key for part in self.parts for key in part.part_wake_keys())
 
     def accepting(self, state: HState) -> bool:
         assert isinstance(state, tuple)

@@ -277,12 +277,14 @@ Combine = Callable[[Rule, Rule], Iterable[Rule]]
 
 
 def _first(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
+    if not isinstance(symbol, tuple):
+        raise TypeError(f"not a product state: {symbol!r}")
     return symbol[0]
 
 
 def _second(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
+    if not isinstance(symbol, tuple):
+        raise TypeError(f"not a product state: {symbol!r}")
     return symbol[1]
 
 

@@ -16,12 +16,14 @@ from repro.tautomata.horizontal import ProductHorizontal, ProjectedHorizontal
 
 
 def _first(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
+    if not isinstance(symbol, tuple):
+        raise TypeError(f"not a product state: {symbol!r}")
     return symbol[0]
 
 
 def _second(symbol: State) -> State:
-    assert isinstance(symbol, tuple)
+    if not isinstance(symbol, tuple):
+        raise TypeError(f"not a product state: {symbol!r}")
     return symbol[1]
 
 

@@ -39,6 +39,25 @@ any frontier state, so skipping it changes the step count and nothing
 else.  Woken searches are visited in registration order, which makes
 firings, firing words and witnesses identical to a scan of every search.
 
+A product horizontal steps only if every part steps, so a search is
+filed under its primary key but also carries a *guard*: the keys of its
+other parts (:meth:`~repro.tautomata.horizontal.HorizontalLanguage.part_wake_keys`
+minus the primary).  A symbol must pass the guard before the search
+steps on it -- on a wake-up, in the closure and in the catch-up of a
+late install.  The same implication, applied to each part, makes this
+sound: ``step(q, s) is not None`` means every part stepped on its
+projection of ``s``, so every part's key admits ``s``.  Guards are
+interned per engine and cache their verdicts by interned symbol id, and
+the projections they test are cached once per path, so each symbol is
+projected once per path and judged once per guard.  A guard may meet a
+symbol of another shape than its path expects -- a plain schema state
+against an FD-component projection that ``step`` never reaches because
+an earlier part already returned ``None`` -- and rejects it
+(:func:`~repro.tautomata.horizontal.try_project`): ``step`` would read
+that part through the same projection, so it cannot step on the symbol
+either.  A rejected wake-up still ticks the meter once, with no steps,
+so the deadline is read at the same cadence as without guards.
+
 Vertical states — nested product
 tuples in the IC pipeline — are interned to dense ints
 (:mod:`repro.tautomata.intern`), so inhabitation membership on the hot
@@ -78,7 +97,13 @@ from operator import attrgetter
 
 from repro.limits import BudgetMeter
 from repro.tautomata.hedge import LabelSpec, Rule, State
-from repro.tautomata.horizontal import Path, WakeKey, project
+from repro.tautomata.horizontal import (
+    HorizontalLanguage,
+    Path,
+    WakeKey,
+    project,
+    try_project,
+)
 from repro.tautomata.intern import InternTable
 from repro.xmlmodel.tree import NodeType, label_node_type
 
@@ -104,16 +129,71 @@ _ORDER = attrgetter("order")
 _Buckets = dict[Hashable, list]
 
 
+class _Projections(dict):
+    """Interned symbol id -> the symbol projected along one path.
+
+    Shared by every guard key on the path; a symbol the path cannot
+    take projects to :data:`~repro.tautomata.horizontal.MISMATCH`.
+    """
+
+    __slots__ = ("path", "symbols")
+
+    def __init__(self, path: Path, symbols: InternTable) -> None:
+        super().__init__()
+        self.path = path
+        #: the engine's state intern table, to read a symbol back
+        self.symbols = symbols
+
+    def __missing__(self, symbol_id: int) -> Hashable:
+        value = self[symbol_id] = try_project(
+            self.symbols.object(symbol_id), self.path
+        )
+        return value
+
+
+class _Guard(dict):
+    """Interned symbol id -> may a search step on the symbol?
+
+    Holds the part keys of a product search besides its primary key, as
+    (projections along the key's path, admitted values) pairs; shared by
+    every search with the same keys, and decided on first lookup.
+    """
+
+    __slots__ = ("tests",)
+
+    def __init__(self, tests: tuple[tuple[_Projections, frozenset], ...]) -> None:
+        super().__init__()
+        self.tests = tests
+
+    def __missing__(self, symbol_id: int) -> bool:
+        verdict = True
+        for projections, values in self.tests:
+            if projections[symbol_id] not in values:
+                verdict = False
+                break
+        self[symbol_id] = verdict
+        return verdict
+
+
 class _Search:
     """Persistent frontier of one rule's horizontal automaton."""
 
-    __slots__ = ("rule", "key", "frontier", "parents", "order", "retired")
+    __slots__ = ("rule", "key", "guard", "frontier", "parents", "order", "retired")
 
-    def __init__(self, rule: Rule, key: WakeKey | None, record_parents: bool) -> None:
+    def __init__(
+        self,
+        rule: Rule,
+        initial: State,
+        key: WakeKey | None,
+        guard: _Guard | None,
+        record_parents: bool,
+    ) -> None:
         self.rule = rule
         #: the horizontal's wake key; ``None`` = woken by every symbol
         self.key = key
-        self.frontier = {rule.horizontal.initial()}
+        #: the other part keys a symbol must pass before a step
+        self.guard = guard
+        self.frontier = {initial}
         # h-state -> (previous h-state, symbol); the initial state has no entry
         self.parents: dict | None = {} if record_parents else None
         #: (group rank, install number), set at registration
@@ -199,6 +279,10 @@ class InhabitationEngine:
         # their projection.  Buckets drop retired searches lazily.
         self._paths: dict[Path, tuple[_Buckets, _Buckets]] = {}
         self._unkeyed: list[_Search] = []
+        # Guards interned by their keys, and the symbol projections
+        # their keys test, one cache per path
+        self._guards: dict[tuple[WakeKey, ...], _Guard] = {}
+        self._projections: dict[Path, _Projections] = {}
         self._queue: deque[State] = deque()
 
     # ------------------------------------------------------------------
@@ -231,13 +315,51 @@ class InhabitationEngine:
         if self.typed and not spec_has_element_label(rule.labels):
             # leaf-only labels cannot carry children: the rule is dead
             return
-        search = _Search(rule, horizontal.wake_keys(), self.record_parents)
+        key = horizontal.wake_keys()
+        search = _Search(
+            rule, initial, key, self._guard(horizontal, key), self.record_parents
+        )
         if self._symbols:
             symbols = self._admitted_symbols(search.key)
             if symbols:
-                self._advance(search, symbols, symbols)
+                guarded = self._guarded(symbols, search.guard)
+                if guarded:
+                    self._advance(search, guarded, guarded)
+                elif self.meter is not None:
+                    self.meter.tick(0)
         if not search.retired:
             self._register(search, state_id)
+
+    def _guard(
+        self, horizontal: HorizontalLanguage, key: WakeKey | None
+    ) -> _Guard | None:
+        """The interned guard of the part keys other than ``key``."""
+        keys = list(horizontal.part_wake_keys())
+        if key in keys:
+            keys.remove(key)  # the wake index already checks it
+        if not keys:
+            return None
+        guard_keys = tuple(keys)
+        guard = self._guards.get(guard_keys)
+        if guard is None:
+            tests = []
+            for path, values in guard_keys:
+                projections = self._projections.get(path)
+                if projections is None:
+                    projections = _Projections(path, self._state_ids)
+                    self._projections[path] = projections
+                tests.append((projections, values))
+            guard = self._guards[guard_keys] = _Guard(tuple(tests))
+        return guard
+
+    def _guarded(
+        self, symbols: list[State], guard: _Guard | None
+    ) -> list[State]:
+        """The symbols (in order) that pass a search's guard."""
+        if guard is None:
+            return symbols
+        intern = self._state_ids.intern
+        return [symbol for symbol in symbols if guard[intern(symbol)]]
 
     def _register(self, search: _Search, state_id: int) -> None:
         """File a live search under its state group and its wake key."""
@@ -468,10 +590,19 @@ class InhabitationEngine:
                 woken.extend(live)
             woken.sort(key=_ORDER)
             new_symbol = (symbol,)
+            symbol_id = self._state_ids.intern(symbol)
             for search in woken:
                 # a firing earlier this round may have retired it
-                if not search.retired:
-                    self._advance(search, new_symbol)
+                if search.retired:
+                    continue
+                guard = search.guard
+                if guard is not None and not guard[symbol_id]:
+                    # another part cannot read it; tick like a woken
+                    # search so the deadline is read at the same cadence
+                    if self.meter is not None:
+                        self.meter.tick(0)
+                    continue
+                self._advance(search, new_symbol)
 
     def _advance(
         self,
@@ -513,7 +644,9 @@ class InhabitationEngine:
                 break
         if fresh and accepted is None:
             if closure is None:
-                closure = self._admitted_symbols(search.key)
+                closure = self._guarded(
+                    self._admitted_symbols(search.key), search.guard
+                )
             while fresh and accepted is None:
                 h_state = fresh.popleft()
                 for symbol in closure:

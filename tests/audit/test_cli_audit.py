@@ -177,8 +177,11 @@ class TestBoundary:
         import subprocess
         import sys
 
+        # about 260 bytes of report per document: 500 documents overfill
+        # the 64 KiB pipe plus the reader's buffer, so the child is still
+        # blocked writing when the pipe closes, however slow the host
         corpus = write_package_corpus(
-            tmp_path / "corpus", documents=3, parts=6, violations_every=1
+            tmp_path / "corpus", documents=500, parts=2, violations_every=1
         )
         env = dict(os.environ, PYTHONPATH="src")
         process = subprocess.Popen(

@@ -3,7 +3,9 @@ guarding, checkpoint resume, and exactly-once store commits.
 
 Everything here runs on the in-memory backend (the differential suite
 proves SQLite behaves identically), so the suite stays fast enough for
-tier-1 while pinning the behavioral contract of each operation.
+tier-1 while pinning the behavioral contract of each operation.  Only
+the chunked commits of a check run on both backends, since each stages
+uncommitted writes its own way.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import pytest
 
 from repro.errors import StoreError
 from repro.limits import Budget
-from repro.store import CorpusStore, MemoryBackend
-from repro.store.corpus import SATISFIED, UNKNOWN, VIOLATED
+from repro.store import CorpusStore, MemoryBackend, SqliteBackend
+from repro.store.corpus import DEFAULT_CHUNK_SIZE, SATISFIED, UNKNOWN, VIOLATED
+from repro.store.fdstate import fingerprint_fd
 from repro.update.apply import Update
 from repro.update.operations import set_text
 from repro.workload.library import (
@@ -196,6 +199,70 @@ class TestCheck:
             False,
             False,
         ]
+
+
+class TestCheckCommits:
+    """A check commits its persisted index states a chunk at a time."""
+
+    @pytest.fixture(params=["memory", "sqlite"])
+    def any_store(self, request, tmp_path):
+        if request.param == "memory":
+            backend = MemoryBackend()
+        else:
+            backend = SqliteBackend(str(tmp_path / "store.db"))
+        instance = CorpusStore(backend)
+        yield instance
+        instance.close()
+
+    def test_one_commit_per_chunk_of_documents(self, any_store, monkeypatch):
+        count = DEFAULT_CHUNK_SIZE + 3
+        document = generate_library(books=1, seed=0)
+        for index in range(count):
+            any_store.put_document(f"d{index:03d}.xml", document)
+        commits = []
+        commit = any_store.backend.commit_chunk
+
+        def counted():
+            commits.append(1)
+            commit()
+
+        monkeypatch.setattr(any_store.backend, "commit_chunk", counted)
+        fds = library_fds()
+        report = any_store.check_fd_corpus(fds)
+        assert report.indexed_documents == count * len(fds)
+        assert len(commits) == 2
+        assert any_store.check_fd_corpus(fds).index_hits == count * len(fds)
+
+    def test_an_interrupted_check_keeps_its_index_states(self, any_store):
+        for index in range(4):
+            any_store.put_document(
+                f"d{index}.xml", generate_library(books=2, seed=index)
+            )
+
+        class Stop(RuntimeError):
+            pass
+
+        def interrupt(index, check):
+            if index == 1:
+                raise Stop()
+
+        fd = library_fds()[0]
+        with pytest.raises(Stop):
+            any_store.check_fd_corpus([fd], _after_document=interrupt)
+        fingerprint = fingerprint_fd(fd)
+        kept = [
+            any_store.backend.get_index_state(f"d{index}.xml", fingerprint)
+            is not None
+            for index in range(4)
+        ]
+        assert kept == [True, True, False, False]
+
+    def test_a_repeated_fd_reads_the_state_it_just_put(self, any_store):
+        any_store.put_document("d.xml", generate_library(books=2, seed=0))
+        fd = library_fds()[0]
+        report = any_store.check_fd_corpus([fd, fd])
+        assert report.indexed_documents == 1
+        assert report.index_hits == 1
 
 
 class TestApply:

@@ -26,13 +26,22 @@ import pytest
 from repro.independence.criterion import EAGER, LAZY, Verdict, check_independence
 from repro.independence.language import (
     IncrementalDangerousSession,
+    _fd_component,
     dangerous_language,
 )
 from repro.independence.matrix import check_independence_matrix
 from repro.pattern.builder import PatternBuilder
 from repro.fd.fd import FunctionalDependency
 from repro.schema.dtd import Schema
-from repro.tautomata.horizontal import HorizontalLanguage
+from repro.tautomata.hedge import LabelSpec, Rule
+from repro.tautomata.horizontal import (
+    AllHorizontal,
+    EmptyWordHorizontal,
+    HorizontalLanguage,
+    ProductHorizontal,
+    ProjectedHorizontal,
+    ShuffleHorizontal,
+)
 from repro.tautomata.lazy import IncrementalProductSession, analyze_factor
 from repro.tautomata.reference import typed_inhabited_states_reference
 from repro.tautomata.worklist import InhabitationEngine
@@ -228,3 +237,166 @@ def test_incremental_dangerous_session(monkeypatch, seed):
         return outcomes
 
     assert_index_invisible(monkeypatch, workload)
+
+
+# ----------------------------------------------------------------------
+# conjunctive guards: every product part's key, not just the primary
+# ----------------------------------------------------------------------
+#
+# A keyed search also carries a guard: the ``part_wake_keys()`` of its
+# horizontal besides the primary key it is filed under.  Patching every
+# ``part_wake_keys`` to return ``()`` leaves each search its primary key
+# and no guard -- the engine before guards.  Both regimes must agree on
+# everything but the step count, which the guards never raise.
+
+
+def assert_guards_invisible(monkeypatch, workload):
+    result, snapshots, steps = _record(monkeypatch, workload, indexed=True)
+    with monkeypatch.context() as patch:
+        for cls in _horizontal_classes():
+            if "part_wake_keys" in vars(cls):
+                patch.setattr(cls, "part_wake_keys", lambda self: ())
+        primary_result, primary_snapshots, primary_steps = _record(
+            monkeypatch, workload, indexed=True
+        )
+    assert snapshots, "the workload ran no engine"
+    assert result == primary_result
+    assert snapshots == primary_snapshots
+    assert all(
+        mine <= primary
+        for mine, primary in zip(steps, primary_steps, strict=True)
+    )
+    return result, steps, primary_steps
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_guarded_random_population(monkeypatch, seed):
+    fd, update_class, schema = _random_triple(seed)
+
+    def workload():
+        return [
+            _outcome(
+                check_independence(
+                    fd, update_class, schema=schema, want_witness=True,
+                    strategy=strategy,
+                )
+            )
+            for strategy in (LAZY, EAGER)
+        ]
+
+    assert_guards_invisible(monkeypatch, workload)
+
+
+@pytest.mark.parametrize("strategy", [LAZY, EAGER])
+def test_guarded_t3_chain_matrix(monkeypatch, strategy):
+    lengths = (2, 4, 8)
+    fds = [_chain_fd(length) for length in lengths]
+    updates = [_chain_update(length) for length in lengths]
+
+    def workload():
+        matrix = check_independence_matrix(fds, updates, strategy=strategy)
+        return [[cell.verdict for cell in row] for row in matrix.cells]
+
+    _, steps, primary_steps = assert_guards_invisible(monkeypatch, workload)
+    if strategy == LAZY:
+        # flagged-product searches wake on their FD key and most fail
+        # the update key: the guards skip those steps
+        assert sum(steps) < sum(primary_steps)
+
+
+@pytest.mark.parametrize("width", (2, 4, 16))
+@pytest.mark.parametrize("strategy", [LAZY, EAGER])
+def test_guarded_t3_schema_width(monkeypatch, width, strategy):
+    schema = _wide_schema(width)
+
+    def workload():
+        return _outcome(
+            check_independence(
+                _chain_fd(2), _chain_update(2), schema=schema,
+                want_witness=True, strategy=strategy,
+            )
+        )
+
+    assert_guards_invisible(monkeypatch, workload)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_guarded_incremental_product_session(monkeypatch, seed):
+    left = analyze_factor(_random_automaton(seed))
+    right = analyze_factor(_random_automaton(seed + 100))
+    rng = random.Random(seed * 7 + 1)
+    removed_left = [rule for rule in left.fireable if rng.random() < 0.4]
+    removed_right = [rule for rule in right.fireable if rng.random() < 0.3]
+
+    def workload():
+        session = IncrementalProductSession(left, right, track_rules=seed % 2 == 1)
+        inhabited = [session.inhabited]
+        for delta in (
+            {"removed_left": removed_left},
+            {"removed_right": removed_right, "added_left": removed_left},
+            {"added_right": removed_right},
+        ):
+            session.apply_delta(**delta)
+            inhabited.append(session.inhabited)
+        return inhabited
+
+    assert_guards_invisible(monkeypatch, workload)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_guarded_incremental_dangerous_session(monkeypatch, seed):
+    automata, update_automaton = _workload(seed, edits=3)
+
+    def workload():
+        session = IncrementalDangerousSession(
+            automata[0], update_automaton, want_witness=True
+        )
+        outcomes = [session.solution().empty]
+        for automaton in automata[1:] + automata[:1]:
+            outcomes.append(session.recheck(automaton).empty)
+        return outcomes
+
+    assert_guards_invisible(monkeypatch, workload)
+
+
+class _TupleRequired(ShuffleHorizontal):
+    """Needs one tuple it requires; its key admits a label as well."""
+
+    def step(self, state, symbol):
+        if not isinstance(symbol, tuple):
+            return None
+        return super().step(state, symbol)
+
+
+def test_guard_rejects_a_symbol_of_another_shape(monkeypatch):
+    """A ``#text`` state meets a guard that projects FD components.
+
+    The primary key (the first part's) admits ``#text``, so the label
+    wakes the product search.  ``step`` would return ``None`` at the
+    first part and never reach the projection, which cannot take a
+    label; the guard must reject the label without raising.
+    """
+    triple = ("f", "u", 0)
+    product = ProductHorizontal(
+        [
+            _TupleRequired(set(), [{"#text", triple}]),
+            ProjectedHorizontal(AllHorizontal({"f", "g", "h"}), _fd_component),
+        ]
+    )
+    assert product.wake_keys() == ((), frozenset({"#text", triple}))
+    labels = LabelSpec.exactly("a")
+    rules = [
+        Rule("#text", labels, EmptyWordHorizontal()),
+        Rule(triple, labels, EmptyWordHorizontal()),
+        Rule("top", labels, product),
+    ]
+
+    def workload():
+        engine = InhabitationEngine(record_parents=True)
+        engine.add_rules(rules)
+        engine.run()
+        return engine.firing_word("top")
+
+    word, steps, primary_steps = assert_guards_invisible(monkeypatch, workload)
+    assert word == (triple,)
+    assert steps[-1] < primary_steps[-1]

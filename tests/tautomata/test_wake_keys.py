@@ -12,12 +12,15 @@ reachable states and symbols:
     ``step(q, s) is not None``  implies  ``project(s, path) in values``.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import deque
 
 import pytest
 
-from repro.independence.language import dangerous_language
+from repro.independence.language import _fd_component, dangerous_language
 from repro.regex.dfa import compile_regex
 from repro.schema.automaton import schema_automaton
 from repro.tautomata.horizontal import (
@@ -28,8 +31,10 @@ from repro.tautomata.horizontal import (
     HorizontalLanguage,
     ProductHorizontal,
     ProjectedHorizontal,
+    MISMATCH,
     ShuffleHorizontal,
     project,
+    try_project,
 )
 from tests.independence.test_lazy_criterion import _random_schema, _random_triple
 
@@ -217,3 +222,151 @@ class TestSoundness:
             for rule in rng.sample(rules, min(len(rules), 40)):
                 live += assert_wake_keys_sound(rule.horizontal, symbols)
         assert live > 0  # the sample exercised real steps
+
+
+# ----------------------------------------------------------------------
+# every part's key: the conjunctive guard of a product search
+# ----------------------------------------------------------------------
+
+
+def assert_part_keys_sound(horizontal: HorizontalLanguage, symbols) -> int:
+    """``step(q, s) is not None`` implies every part key admits ``s``."""
+    keys = horizontal.part_wake_keys()
+    live_steps = 0
+    for state in _reachable(horizontal, symbols):
+        for symbol in symbols:
+            if horizontal.step(state, symbol) is None:
+                continue
+            live_steps += 1
+            for path, values in keys:
+                assert project(symbol, path) in values, (
+                    horizontal, state, symbol, path, values
+                )
+    return live_steps
+
+
+class TestPartKeys:
+    def test_a_leaf_lists_its_own_key(self):
+        language = AllHorizontal({"a"})
+        assert language.part_wake_keys() == (language.wake_keys(),)
+
+    def test_an_unkeyed_leaf_lists_nothing(self):
+        assert FlagOnceHorizontal(1, _flag).part_wake_keys() == ()
+        assert DFAHorizontal(compile_regex("a ~*")).part_wake_keys() == ()
+
+    def test_projection_prefixes_every_key(self):
+        inner = ProductHorizontal(
+            [
+                ProjectedHorizontal(AllHorizontal({"a"}), _first),
+                ProjectedHorizontal(AllHorizontal({"b", "c"}), _second),
+            ]
+        )
+        outer = ProjectedHorizontal(inner, _second)
+        assert outer.part_wake_keys() == (
+            ((_second, _first), frozenset("a")),
+            ((_second, _second), frozenset("bc")),
+        )
+
+    def test_product_lists_its_parts_in_part_order(self):
+        wide = ProjectedHorizontal(AllHorizontal(set(LABELS)), _first)
+        narrow = ProjectedHorizontal(AllHorizontal({"b"}), _second)
+        product = ProductHorizontal([wide, FlagOnceHorizontal(0, _flag), narrow])
+        # the primary key is still the most selective part alone
+        assert product.wake_keys() == ((_second,), frozenset("b"))
+        assert product.part_wake_keys() == (
+            ((_first,), frozenset(LABELS)),
+            ((_second,), frozenset("b")),
+        )
+
+    def test_nested_products_flatten_depth_first(self):
+        inner = ProductHorizontal(
+            [
+                ProjectedHorizontal(AllHorizontal({"c"}), _first),
+                ProjectedHorizontal(EmptyWordHorizontal(), _second),
+            ]
+        )
+        product = ProductHorizontal(
+            [
+                ProjectedHorizontal(AllHorizontal({"a"}), _first),
+                ProjectedHorizontal(inner, _second),
+                ProjectedHorizontal(AllHorizontal({"d"}), _second),
+            ]
+        )
+        assert product.part_wake_keys() == (
+            ((_first,), frozenset("a")),
+            ((_second, _first), frozenset("c")),
+            ((_second, _second), frozenset()),
+            ((_second,), frozenset("d")),
+        )
+
+    def test_the_primary_key_is_one_of_the_part_keys(self):
+        for seed in range(30):
+            horizontal, _ = _random_nested(random.Random(seed), depth=2)
+            key = horizontal.wake_keys()
+            assert key is None or key in horizontal.part_wake_keys()
+
+
+class TestPartKeySoundness:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_nested_products(self, seed):
+        rng = random.Random(seed)
+        horizontal, symbol = _random_nested(rng, depth=2)
+        symbols = sorted({symbol(rng) for _ in range(80)}, key=repr)
+        assert_part_keys_sound(horizontal, symbols)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_schema_automaton_rules(self, seed):
+        automaton = schema_automaton(_random_schema(random.Random(seed)))
+        symbols = sorted(automaton.states(), key=repr)
+        for rule in automaton.rules:
+            assert_part_keys_sound(rule.horizontal, symbols)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_dangerous_language_rules(self, seed):
+        fd, update_class, schema = _random_triple(seed)
+        language = dangerous_language(
+            fd, update_class, schema=schema, materialize=True
+        )
+        automata = [
+            language.fd_automaton.automaton,
+            language.update_automaton.automaton,
+            language.flagged_product,
+        ]
+        if schema is not None:
+            automata.append(language.automaton)
+        rng = random.Random(seed)
+        live = 0
+        for automaton in automata:
+            symbols = sorted(automaton.states(), key=repr)
+            rules = automaton.rules
+            for rule in rng.sample(rules, min(len(rules), 40)):
+                live += assert_part_keys_sound(rule.horizontal, symbols)
+        assert live > 0
+
+
+class TestTryProject:
+    def test_a_symbol_of_the_expected_shape_is_projected(self):
+        assert try_project(("a", "b"), (_second,)) == "b"
+
+    def test_a_symbol_of_another_shape_is_a_mismatch(self):
+        # an FD-component path meets a plain schema state: no part that
+        # reads through this projection could step on it
+        assert try_project("#text", (_fd_component,)) is MISMATCH
+        assert try_project(("x",), (_second,)) is MISMATCH
+        assert MISMATCH not in frozenset({"#", ("#", "u", 0)})
+
+    def test_the_mismatch_does_not_depend_on_asserts(self):
+        # ``python -O`` strips asserts; "#text"[0] == "#" would then pass
+        code = (
+            "from repro.independence.language import _fd_component\n"
+            "from repro.tautomata.horizontal import MISMATCH, try_project\n"
+            "print(try_project('#text', (_fd_component,)) is MISMATCH)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "True"
