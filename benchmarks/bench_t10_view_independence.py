@@ -83,8 +83,7 @@ def bench_t10_report(benchmark, figures):
 
     # the bench opts in to metrics: fold the batch run into a registry
     # so the report shows the verdict counters and cell-latency buckets
-    registry = MetricsRegistry()
-    registry.absorb_matrix(matrix)
+    registry = MetricsRegistry().absorb(matrix)
     for line in format_metrics_table(registry.snapshot()).splitlines():
         print(f"# {line}")
 

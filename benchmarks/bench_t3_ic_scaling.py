@@ -63,6 +63,7 @@ from repro.independence.criterion import check_independence
 from repro.independence.matrix import check_independence_matrix
 from repro.independence.language import dangerous_language
 from repro.obs.metrics import MetricsRegistry
+from repro.regex.cache import cache_metrics
 from repro.schema.dtd import Schema
 from repro.tautomata.reference import typed_inhabited_states_reference
 
@@ -341,7 +342,7 @@ def bench_t3_report(benchmark):
         )
         lazy_independent = lazy_result.independent
         exploration = lazy_result.exploration
-        registry.absorb_result(lazy_result)
+        registry.absorb(lazy_result)
         assert lazy_independent == eager_empty, name
         # lazy explores strictly less than the eager construction builds
         assert exploration.explored_states < eager_rules, name
@@ -491,7 +492,7 @@ def bench_t3_report(benchmark):
         f"{jobs1_ms:.1f} ms on the {side}x{side} matrix"
     )
 
-    registry.absorb_caches()
+    registry.absorb(cache_metrics)
     payload = {
         "experiment": "T3",
         "quick": QUICK,

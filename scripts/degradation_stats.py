@@ -55,8 +55,7 @@ def collect() -> dict:
     report: dict = {"budgets": {}}
     for name, budget in BUDGETS.items():
         matrix = check_independence_matrix(fds, update_classes, budget=budget)
-        registry = MetricsRegistry()
-        registry.absorb_matrix(matrix)
+        registry = MetricsRegistry().absorb(matrix)
         cells = []
         for row in matrix.cells:
             for cell in row:

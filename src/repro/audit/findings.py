@@ -44,8 +44,10 @@ Positions/snippets are carried over verbatim from the
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterator
 
 from repro.errors import ParseError, ParseLimitError
+from repro.obs.metrics import COUNTER, GAUGE, OBSERVE
 
 PARSE_ERROR = "parse-error"
 IO_ERROR = "io-error"
@@ -292,6 +294,30 @@ class CorpusReport:
         for finding in self.iter_findings():
             counts[finding.kind] = counts.get(finding.kind, 0) + 1
         return counts
+
+    def metrics(self) -> Iterator[tuple[str, str, float]]:
+        """``audit.*`` metrics (see :mod:`repro.obs.metrics`).
+
+        Counters per finding kind (``audit.findings.<kind>``) plus the
+        run-shape counters (documents, restored, quarantined, aborted)
+        and a per-document duration histogram (restored documents are
+        excluded — their recorded durations belong to the original
+        run), so ``--metrics`` covers audit runs exactly like matrix
+        runs.
+        """
+        yield COUNTER, "audit.documents", len(self.documents)
+        if self.restored_documents:
+            yield COUNTER, "audit.restored_documents", self.restored_documents
+        for kind, count in sorted(self.finding_counts().items()):
+            yield COUNTER, f"audit.findings.{kind}", count
+        if self.quarantined:
+            yield COUNTER, "audit.quarantined", len(self.quarantined)
+        if self.aborted:
+            yield COUNTER, "audit.aborted", 1
+        for document in self.documents:
+            if not document.restored:
+                yield OBSERVE, "audit.document_ms", document.elapsed_ms
+        yield GAUGE, "audit.elapsed_ms", self.elapsed_seconds * 1000.0
 
     @property
     def error_count(self) -> int:

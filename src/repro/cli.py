@@ -31,6 +31,8 @@ Installed as ``repro-xml`` (see ``pyproject.toml``); also runnable as
     restores the certified cells and recomputes only the remainder —
     refusing (clean diagnostic, no traceback) if the FDs, updates,
     schema, strategy or budget changed since the checkpoint was taken.
+    ``--resume`` without ``--checkpoint-dir`` is a usage error (exit 2)
+    here and in ``audit`` and ``corpus check-fd``/``apply``.
 
     When the workload *drifts* (an FD edited, an update class added),
     point ``--baseline RUN_DIR`` at a prior run: every cell whose row
@@ -96,6 +98,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -103,6 +106,9 @@ from repro.errors import ParseError, ReproError, XMLParseError
 from repro.fd.linear import LinearFD, translate_linear_fd
 from repro.fd.satisfaction import check_fd
 from repro.independence.criterion import check_independence
+from repro.independence.strategy import STRATEGIES
+from repro.obs.trace import jsonl_tracing
+from repro.regex.cache import cache_metrics, cache_stats
 from repro.schema.dtd import Schema
 from repro.xmlmodel.parser import parse_document
 from repro.xmlmodel.serializer import serialize_document, serialize_node
@@ -130,8 +136,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _print_cache_stats() -> None:
-    from repro.regex.cache import cache_stats
-
     for cache_name, counters in cache_stats().items():
         rendered = " ".join(
             f"{key}={value}" for key, value in sorted(counters.items())
@@ -157,6 +161,14 @@ EXIT_INTERRUPTED = 130
 EXIT_PARSE_ERROR = 2
 
 
+def _fds_from_args(args: argparse.Namespace) -> list:
+    """The ``--fd`` texts, parsed and named ``fd1``, ``fd2``, ..."""
+    return [
+        translate_linear_fd(LinearFD.parse(text, name=f"fd{index + 1}"))
+        for index, text in enumerate(args.fd or [])
+    ]
+
+
 def _budget_from_args(args: argparse.Namespace):
     if args.budget_ms is None and args.max_explored is None:
         return None
@@ -169,31 +181,36 @@ def _budget_from_args(args: argparse.Namespace):
     )
 
 
-def _cmd_independence(args: argparse.Namespace) -> int:
-    # --trace-out installs a process-wide tracer for the duration of
-    # the command; every layer resolves it through current_tracer(), so
-    # no per-call plumbing is needed here.  The exporter is closed (and
-    # the previous tracer restored) even when the analysis raises.
-    if args.trace_out:
-        from repro.obs.trace import JsonlSpanExporter, Tracer, install_tracer
+def _traced(handler):
+    """Run ``handler`` under the JSONL tracer its ``--trace-out`` names.
 
-        tracer = Tracer(JsonlSpanExporter(args.trace_out))
-        previous = install_tracer(tracer)
-        try:
-            return _run_independence(args)
-        finally:
-            install_tracer(previous)
-            tracer.close()
-    return _run_independence(args)
+    The tracer is installed process-wide, so every layer resolves it
+    through ``current_tracer()`` with no per-call plumbing; it is
+    closed (and the previous tracer restored) even when the handler
+    raises.
+    """
+
+    @functools.wraps(handler)
+    def run(args: argparse.Namespace) -> int:
+        with jsonl_tracing(args.trace_out):
+            return handler(args)
+
+    return run
 
 
-def _print_metrics(registry) -> None:
-    from repro.obs.metrics import format_metrics_table
+def _finish(args: argparse.Namespace, code: int, *sources) -> int:
+    """The shared epilogue: with ``--metrics``, the metrics table of
+    ``sources`` on stderr; then any ``--cache-stats`` lines; returns
+    ``code``, the command's exit code."""
+    if args.metrics:
+        from repro.obs.metrics import MetricsRegistry, format_metrics_table
 
-    table = format_metrics_table(registry.snapshot())
-    if table:
-        for line in table.splitlines():
+        snapshot = MetricsRegistry().absorb(*sources).snapshot()
+        for line in format_metrics_table(snapshot).splitlines():
             print(f"# {line}", file=sys.stderr)
+    if getattr(args, "cache_stats", False):
+        _print_cache_stats()
+    return code
 
 
 def _describe_cell(matrix, cell) -> str:
@@ -211,18 +228,11 @@ def _describe_cell(matrix, cell) -> str:
     )
 
 
-def _run_independence(args: argparse.Namespace) -> int:
+@_traced
+def _cmd_independence(args: argparse.Namespace) -> int:
     from repro.independence.criterion import Verdict
 
-    registry = None
-    if args.metrics:
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-    fds = [
-        translate_linear_fd(LinearFD.parse(text, name=f"fd{index + 1}"))
-        for index, text in enumerate(args.fd)
-    ]
+    fds = _fds_from_args(args)
     update_classes = [
         update_class_from_xpath(xpath, name=f"u{index + 1}")
         for index, xpath in enumerate(args.update_xpath)
@@ -240,6 +250,7 @@ def _run_independence(args: argparse.Namespace) -> int:
         or args.baseline
     ):
         from repro.independence.matrix import check_independence_matrix
+        from repro.independence.pool import pool_metrics
 
         matrix = check_independence_matrix(
             fds,
@@ -254,16 +265,10 @@ def _run_independence(args: argparse.Namespace) -> int:
             baseline_dir=args.baseline,
         )
         print(matrix.describe())
-        if registry is not None:
+        if args.metrics:
             for row in matrix.cells:
                 for cell in row:
                     print(_describe_cell(matrix, cell))
-            registry.absorb_matrix(matrix)
-            registry.absorb_caches()
-            registry.absorb_pool()
-            _print_metrics(registry)
-        if args.cache_stats:
-            _print_cache_stats()
         if args.show_witness:
             for row in matrix.cells:
                 for cell in row:
@@ -277,10 +282,12 @@ def _run_independence(args: argparse.Namespace) -> int:
                     print(serialize_document(cell.witness, indent=2))
         # UNKNOWN wins: one unproved cell taints the batch answer
         if matrix.unknown_count():
-            return EXIT_UNKNOWN
-        if matrix.all_independent():
-            return EXIT_INDEPENDENT
-        return EXIT_POSSIBLY_DEPENDENT
+            code = EXIT_UNKNOWN
+        elif matrix.all_independent():
+            code = EXIT_INDEPENDENT
+        else:
+            code = EXIT_POSSIBLY_DEPENDENT
+        return _finish(args, code, matrix, cache_metrics, pool_metrics)
     result = check_independence(
         fds[0],
         update_classes[0],
@@ -290,67 +297,37 @@ def _run_independence(args: argparse.Namespace) -> int:
         budget=budget,
     )
     print(result.describe())
-    if registry is not None:
-        registry.absorb_result(result)
-        registry.absorb_caches()
-        _print_metrics(registry)
-    if args.cache_stats:
-        _print_cache_stats()
     if result.witness is not None and args.show_witness:
         print("dangerous document:")
         print(serialize_document(result.witness, indent=2))
     if result.verdict is Verdict.UNKNOWN:
-        return EXIT_UNKNOWN
-    if result.independent:
-        return EXIT_INDEPENDENT
-    return EXIT_POSSIBLY_DEPENDENT
+        code = EXIT_UNKNOWN
+    elif result.independent:
+        code = EXIT_INDEPENDENT
+    else:
+        code = EXIT_POSSIBLY_DEPENDENT
+    return _finish(args, code, result, cache_metrics)
 
 
 def _parse_budget_from_args(args: argparse.Namespace):
     """The audit guards: ``ParseBudget.default()`` with per-dimension
     overrides, or ``None`` under ``--no-parse-guards``."""
+    import dataclasses
+
     from repro.limits import ParseBudget
 
     if args.no_parse_guards:
         return None
-    default = ParseBudget.default()
-    return ParseBudget(
-        max_input_bytes=(
-            default.max_input_bytes
-            if args.max_input_bytes is None
-            else args.max_input_bytes
-        ),
-        max_depth=(
-            default.max_depth if args.max_depth is None else args.max_depth
-        ),
-        max_tokens=(
-            default.max_tokens if args.max_tokens is None else args.max_tokens
-        ),
-        max_entity_expansion=(
-            default.max_entity_expansion
-            if args.max_entity_expansion is None
-            else args.max_entity_expansion
-        ),
-    )
+    overrides = {
+        field: getattr(args, field)
+        for field in PARSE_GUARD_FIELDS
+        if getattr(args, field) is not None
+    }
+    return dataclasses.replace(ParseBudget.default(), **overrides)
 
 
+@_traced
 def _cmd_audit(args: argparse.Namespace) -> int:
-    # same tracer-installation pattern as the independence subcommand
-    if args.trace_out:
-        from repro.obs.trace import JsonlSpanExporter, Tracer, install_tracer
-
-        tracer = Tracer(JsonlSpanExporter(args.trace_out))
-        previous = install_tracer(tracer)
-        try:
-            return _run_audit(args)
-        finally:
-            install_tracer(previous)
-            tracer.close()
-    return _run_audit(args)
-
-
-def _run_audit(args: argparse.Namespace) -> int:
-    import json
     from contextlib import ExitStack
 
     from repro.audit import AuditOptions, audit_corpus
@@ -359,10 +336,7 @@ def _run_audit(args: argparse.Namespace) -> int:
     # FD/schema/XPath text is operator-supplied configuration, not
     # corpus content — but it still goes through guarded parsers so a
     # bad paste cannot blow the stack either
-    fds = [
-        translate_linear_fd(LinearFD.parse(text, name=f"fd{index + 1}"))
-        for index, text in enumerate(args.fd or [])
-    ]
+    fds = _fds_from_args(args)
     update_classes = [
         update_class_from_xpath(
             parse_xpath(xpath, limits=parse_budget), name=f"u{index + 1}"
@@ -376,7 +350,7 @@ def _run_audit(args: argparse.Namespace) -> int:
         )
     with ExitStack() as stack:
         store = None
-        if getattr(args, "store", None):
+        if args.store:
             from repro.store import CorpusStore
 
             store = stack.enter_context(CorpusStore.open(args.store))
@@ -396,18 +370,8 @@ def _run_audit(args: argparse.Namespace) -> int:
         )
         report = audit_corpus(args.paths, options)
     print(report.describe())
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2, sort_keys=True)
-        print(f"# findings written to {args.json_out}", file=sys.stderr)
-    if args.metrics:
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.absorb_audit(report)
-        registry.absorb_caches()
-        _print_metrics(registry)
-    return report.exit_code()
+    _json_out(args, report.to_json_dict(), "findings")
+    return _finish(args, report.exit_code(), report, cache_metrics)
 
 
 def _cmd_stream_check(args: argparse.Namespace) -> int:
@@ -461,12 +425,9 @@ def _cmd_checkpoints(args: argparse.Namespace) -> int:
             return 64
         info = inspect_run_dir(args.path)
         print(info.describe())
-        import json as _json
-        from pathlib import Path as _Path
+        import json
 
-        manifest = _json.loads(
-            (_Path(args.path) / "manifest.json").read_text()
-        )
+        manifest = json.loads((Path(args.path) / "manifest.json").read_text())
         for field in (
             "kind",
             "strategy",
@@ -540,38 +501,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return run_daemon(config)
 
 
-def _json_out(args: argparse.Namespace, payload: dict) -> None:
-    if getattr(args, "json_out", None):
+def _json_out(
+    args: argparse.Namespace, payload: dict, what: str = "report"
+) -> None:
+    if args.json_out:
         import json
 
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2, sort_keys=True)
-        print(f"# report written to {args.json_out}", file=sys.stderr)
+        print(f"# {what} written to {args.json_out}", file=sys.stderr)
 
 
+@_traced
 def _cmd_corpus(args: argparse.Namespace) -> int:
-    # same tracer-installation pattern as independence/audit
-    if getattr(args, "trace_out", None):
-        from repro.obs.trace import JsonlSpanExporter, Tracer, install_tracer
-
-        tracer = Tracer(JsonlSpanExporter(args.trace_out))
-        previous = install_tracer(tracer)
-        try:
-            return _run_corpus(args)
-        finally:
-            install_tracer(previous)
-            tracer.close()
-    return _run_corpus(args)
-
-
-def _run_corpus(args: argparse.Namespace) -> int:
     from repro.store import CorpusStore
 
-    registry = None
-    if getattr(args, "metrics", None):
-        from repro.obs.metrics import MetricsRegistry
-
-        registry = MetricsRegistry()
     with CorpusStore.open(args.store) as store:
         if args.corpus_action == "load":
             report = store.load_paths(
@@ -584,20 +528,11 @@ def _run_corpus(args: argparse.Namespace) -> int:
             for finding in report.findings:
                 print(f"  {finding.describe()}")
             _json_out(args, report.to_json_dict())
-            if registry is not None:
-                registry.absorb_corpus_load(report)
-                _print_metrics(registry)
-            return 0 if report.errors == 0 else 2
+            return _finish(args, 0 if report.errors == 0 else 2, report)
 
         if args.corpus_action == "check-fd":
-            fds = [
-                translate_linear_fd(
-                    LinearFD.parse(text, name=f"fd{index + 1}")
-                )
-                for index, text in enumerate(args.fd)
-            ]
             report = store.check_fd_corpus(
-                fds,
+                _fds_from_args(args),
                 budget=_budget_from_args(args),
                 max_violations=args.max_violations,
                 use_index=not args.no_index,
@@ -614,12 +549,11 @@ def _run_corpus(args: argparse.Namespace) -> int:
                     )
                     print(f"  {check.name}: {check.status} ({bad})")
             _json_out(args, report.to_json_dict())
-            if registry is not None:
-                registry.absorb_corpus_check(report)
-                _print_metrics(registry)
             if report.unknown_count:
-                return EXIT_UNKNOWN
-            return 0 if report.violated_count == 0 else 2
+                code = EXIT_UNKNOWN
+            else:
+                code = 0 if report.violated_count == 0 else 2
+            return _finish(args, code, report)
 
         if args.corpus_action == "apply":
             from repro.update.apply import Update
@@ -643,17 +577,10 @@ def _run_corpus(args: argparse.Namespace) -> int:
                         name=f"set{index + 1}",
                     )
                 )
-            fds = [
-                translate_linear_fd(
-                    LinearFD.parse(text, name=f"fd{index + 1}")
-                )
-                for index, text in enumerate(args.fd or [])
-            ]
-            schema = _load_schema(args.schema) if args.schema else None
             report = store.apply_guarded_corpus(
                 updates,
-                fds=fds,
-                schema=schema,
+                fds=_fds_from_args(args),
+                schema=_load_schema(args.schema) if args.schema else None,
                 strategy=args.strategy,
                 budget=_budget_from_args(args),
                 checkpoint_dir=args.checkpoint_dir,
@@ -669,10 +596,7 @@ def _run_corpus(args: argparse.Namespace) -> int:
                     )
                     print(f"  {outcome.name}: rolled back ({why})")
             _json_out(args, report.to_json_dict())
-            if registry is not None:
-                registry.absorb_corpus_apply(report)
-                _print_metrics(registry)
-            return 0 if report.rolled_back_count == 0 else 2
+            return _finish(args, 0 if report.rolled_back_count == 0 else 2, report)
 
         # action == "stats"
         stats = store.stats()
@@ -680,6 +604,95 @@ def _run_corpus(args: argparse.Namespace) -> int:
             print(f"{key}: {value}")
         _json_out(args, stats)
         return 0
+
+
+# ----------------------------------------------------------------------
+# option groups: every flag block shared by several subcommands is
+# declared once here (the per-command help text names what it bounds)
+# ----------------------------------------------------------------------
+
+
+def _add_fd_schema(
+    sub, fd_help: str, required: bool = False, schema_help: str | None = None,
+    schema: bool = True,
+) -> None:
+    sub.add_argument("--fd", required=required, action="append", help=fd_help)
+    if schema:
+        sub.add_argument("--schema", help=schema_help)
+
+
+def _add_strategy(sub, help: str | None = None) -> None:
+    sub.add_argument("--strategy", choices=STRATEGIES, default="auto", help=help)
+
+
+def _add_budget(
+    sub, ms_help: str | None = None, explored_help: str | None = None
+) -> None:
+    sub.add_argument(
+        "--budget-ms", type=float, default=None, metavar="MS", help=ms_help
+    )
+    sub.add_argument(
+        "--max-explored", type=int, default=None, metavar="N",
+        help=explored_help,
+    )
+
+
+def _add_checkpoint(
+    sub, dir_help: str | None = None, resume_help: str | None = None
+) -> None:
+    """``--checkpoint-dir`` + ``--resume``; ``main`` refuses a
+    ``--resume`` with nothing to resume from as a usage error."""
+    sub.add_argument(
+        "--checkpoint-dir", default=None, metavar="DIR", help=dir_help
+    )
+    sub.add_argument("--resume", action="store_true", help=resume_help)
+    sub.set_defaults(checkpoint_parser=sub)
+
+
+def _add_outputs(
+    sub, trace_help: str, metrics_help: str | None = None,
+    json_help: str | None = None,
+) -> None:
+    """``--trace-out``, plus ``--metrics`` / ``--json-out`` where the
+    subcommand offers them (a help text given)."""
+    if json_help is not None:
+        sub.add_argument(
+            "--json-out", default=None, metavar="FILE.json", help=json_help
+        )
+    sub.add_argument(
+        "--trace-out", default=None, metavar="FILE.jsonl", help=trace_help
+    )
+    if metrics_help is not None:
+        sub.add_argument("--metrics", action="store_true", help=metrics_help)
+
+
+#: the ParseBudget dimensions ``_add_parse_guards`` exposes as flags
+PARSE_GUARD_FIELDS = (
+    "max_input_bytes", "max_depth", "max_tokens", "max_entity_expansion",
+)
+
+
+def _add_parse_guards(sub) -> None:
+    """The untrusted-input guards (see :class:`repro.limits.ParseBudget`)."""
+    for flag, kind, metavar, help in (
+        ("--max-input-bytes", int, "N", "per-file size guard (default: 8 "
+         "MiB); larger files are refused from a stat call alone"),
+        ("--max-depth", int, "N", "element/predicate/group nesting guard "
+         "(default: 1000)"),
+        ("--max-tokens", int, "N", "scanner token guard per file "
+         "(default: 2000000)"),
+        ("--max-entity-expansion", float, "RATIO", "entity-expansion guard "
+         "as a multiple of the input size (default: 4.0)"),
+    ):
+        sub.add_argument(
+            flag, type=kind, default=None, metavar=metavar, help=help
+        )
+    sub.add_argument(
+        "--no-parse-guards",
+        action="store_true",
+        help="disable all untrusted-input guards (trusted corpora "
+        "only; the structural nesting rail stays)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -722,11 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
         aliases=["check-independence"],
         help="run the criterion IC for FDs against XPath update classes",
     )
-    independence.add_argument(
-        "--fd",
+    _add_fd_schema(
+        independence,
+        "linear-syntax FD; repeat for a matrix run",
         required=True,
-        action="append",
-        help="linear-syntax FD; repeat for a matrix run",
     )
     independence.add_argument(
         "--update-xpath",
@@ -734,7 +746,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         help='e.g. "/orders/order/status"; repeat for a matrix run',
     )
-    independence.add_argument("--schema")
     independence.add_argument(
         "--matrix",
         action="store_true",
@@ -747,11 +758,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for --matrix runs (default: 1)",
     )
-    independence.add_argument(
-        "--strategy",
-        choices=["auto", "lazy", "eager"],
-        default="auto",
-        help="auto (default) picks per pair from the automaton shapes; "
+    _add_strategy(
+        independence,
+        "auto (default) picks per pair from the automaton shapes; "
         "lazy forces the on-the-fly product exploration, eager the "
         "materialized Proposition 3 construction",
     )
@@ -761,34 +770,19 @@ def build_parser() -> argparse.ArgumentParser:
         help="build and print the dangerous document on "
         "POSSIBLY-DEPENDENT verdicts",
     )
-    independence.add_argument(
-        "--budget-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="wall-clock budget per pair; an exhausted budget yields "
+    _add_budget(
+        independence,
+        "wall-clock budget per pair; an exhausted budget yields "
         "verdict UNKNOWN and exit code 3",
-    )
-    independence.add_argument(
-        "--max-explored",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap on explored product states and on instantiated rules "
+        "cap on explored product states and on instantiated rules "
         "per pair (each dimension capped at N); exceeding it yields "
         "verdict UNKNOWN and exit code 3",
     )
-    independence.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="journal every cell verdict into DIR (crash-safe matrix "
+    _add_checkpoint(
+        independence,
+        "journal every cell verdict into DIR (crash-safe matrix "
         "run); implies a matrix run even for a single pair",
-    )
-    independence.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore certified cells from --checkpoint-dir and "
+        "restore certified cells from --checkpoint-dir and "
         "recompute only the remainder (refused when the inputs differ "
         "from the checkpointed run)",
     )
@@ -802,18 +796,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume, differing inputs are expected, and a damaged or "
         "incompatible baseline degrades to a full recompute",
     )
-    independence.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE.jsonl",
-        help="write a JSONL span trace of the run (construction, "
+    _add_outputs(
+        independence,
+        "write a JSONL span trace of the run (construction, "
         "fixpoints, products, matrix cells, checkpoint events); "
         "summarize with scripts/trace_report.py",
-    )
-    independence.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print a metrics summary table to stderr and annotate "
+        "print a metrics summary table to stderr and annotate "
         "matrix cells with duration and explored-vs-worst-case counts",
     )
     independence.add_argument(
@@ -869,11 +857,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="XML files and/or directories (directories are scanned "
         "one level deep; see --recursive)",
     )
-    audit.add_argument("--schema", help="schema file to validate against")
-    audit.add_argument(
-        "--fd",
-        action="append",
-        help="linear-syntax FD to check on every document; repeatable",
+    _add_fd_schema(
+        audit,
+        "linear-syntax FD to check on every document; repeatable",
+        schema_help="schema file to validate against",
     )
     audit.add_argument(
         "--update-xpath",
@@ -903,100 +890,36 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on reported FD-violation witnesses and "
         "schema-violation sites per document (default: 5)",
     )
-    audit.add_argument(
-        "--json-out",
-        default=None,
-        metavar="FILE.json",
-        help="also write the full structured findings report as JSON",
+    _add_strategy(
+        audit,
+        "independence-analysis strategy (see the independence subcommand)",
     )
-    audit.add_argument(
-        "--strategy",
-        choices=["auto", "lazy", "eager"],
-        default="auto",
-        help="independence-analysis strategy (see the independence "
-        "subcommand)",
-    )
-    audit.add_argument(
-        "--budget-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-document wall-clock budget for FD/exposure analysis; "
+    _add_budget(
+        audit,
+        "per-document wall-clock budget for FD/exposure analysis; "
         "exhaustion becomes a budget-exhausted finding on that "
         "document only",
-    )
-    audit.add_argument(
-        "--max-explored",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-document cap on charged analysis work (pattern "
+        "per-document cap on charged analysis work (pattern "
         "mappings, explored states); exhaustion becomes a "
         "budget-exhausted finding on that document only",
     )
-    audit.add_argument(
-        "--max-input-bytes",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file size guard (default: 8 MiB); larger files are "
-        "refused from a stat call alone",
-    )
-    audit.add_argument(
-        "--max-depth",
-        type=int,
-        default=None,
-        metavar="N",
-        help="element/predicate/group nesting guard (default: 1000)",
-    )
-    audit.add_argument(
-        "--max-tokens",
-        type=int,
-        default=None,
-        metavar="N",
-        help="scanner token guard per file (default: 2000000)",
-    )
-    audit.add_argument(
-        "--max-entity-expansion",
-        type=float,
-        default=None,
-        metavar="RATIO",
-        help="entity-expansion guard as a multiple of the input size "
-        "(default: 4.0)",
-    )
-    audit.add_argument(
-        "--no-parse-guards",
-        action="store_true",
-        help="disable all untrusted-input guards (trusted corpora "
-        "only; the structural nesting rail stays)",
-    )
-    audit.add_argument(
-        "--checkpoint-dir",
-        default=None,
-        metavar="DIR",
-        help="journal every finished document report into DIR "
+    _add_parse_guards(audit)
+    _add_checkpoint(
+        audit,
+        "journal every finished document report into DIR "
         "(crash-safe corpus run)",
-    )
-    audit.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore finished documents from --checkpoint-dir and "
+        "restore finished documents from --checkpoint-dir and "
         "re-audit only the remainder (refused when the corpus or "
         "configuration changed)",
     )
-    audit.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE.jsonl",
-        help="write a JSONL span trace (audit.corpus / audit.document "
+    _add_outputs(
+        audit,
+        "write a JSONL span trace (audit.corpus / audit.document "
         "/ audit.independence spans); summarize with "
         "scripts/trace_report.py",
-    )
-    audit.add_argument(
-        "--metrics",
-        action="store_true",
-        help="print audit.* metrics (documents, findings by kind, "
+        "print audit.* metrics (documents, findings by kind, "
         "quarantined, per-document duration) to stderr",
+        "also write the full structured findings report as JSON",
     )
     audit.add_argument(
         "--store",
@@ -1020,46 +943,32 @@ def build_parser() -> argparse.ArgumentParser:
         dest="corpus_action", required=True
     )
 
-    def _corpus_common(sub, budget: bool = True) -> None:
+    def _corpus_action(name: str, help: str, budget: bool = True):
+        sub = corpus_actions.add_parser(name, help=help)
         sub.add_argument(
             "store",
             help="store location: a sqlite database file path, or "
-            "':memory:' for an in-process store (postgres:// is "
-            "recognized but requires a driver)",
+            "':memory:' for an in-process store",
         )
-        sub.add_argument(
-            "--json-out",
-            default=None,
-            metavar="FILE.json",
-            help="also write the structured report as JSON",
-        )
-        sub.add_argument(
-            "--trace-out",
-            default=None,
-            metavar="FILE.jsonl",
-            help="write a JSONL span trace (corpus.load / corpus.check "
+        _add_outputs(
+            sub,
+            "write a JSONL span trace (corpus.load / corpus.check "
             "/ corpus.apply spans)",
-        )
-        sub.add_argument(
-            "--metrics",
-            action="store_true",
-            help="print corpus.* metrics to stderr",
+            "print corpus.* metrics to stderr",
+            "also write the structured report as JSON",
         )
         if budget:
-            sub.add_argument(
-                "--budget-ms", type=float, default=None, metavar="MS"
-            )
-            sub.add_argument(
-                "--max-explored", type=int, default=None, metavar="N"
-            )
+            _add_budget(sub)
+        sub.set_defaults(handler=_cmd_corpus)
+        return sub
 
-    corpus_load = corpus_actions.add_parser(
+    corpus_load = _corpus_action(
         "load",
-        help="bulk-load XML files/directories into the store (chunked "
+        "bulk-load XML files/directories into the store (chunked "
         "transactions; unchanged files are skipped by content sha256, "
         "so re-running after a crash completes the load)",
+        budget=False,
     )
-    _corpus_common(corpus_load, budget=False)
     corpus_load.add_argument("paths", nargs="+")
     corpus_load.add_argument("--recursive", action="store_true")
     corpus_load.add_argument(
@@ -1075,28 +984,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="accepted for symmetry: a load is idempotent and "
         "incremental, so resuming IS re-running",
     )
-    for flag, kind in (
-        ("--max-input-bytes", int),
-        ("--max-depth", int),
-        ("--max-tokens", int),
-    ):
-        corpus_load.add_argument(flag, type=kind, default=None, metavar="N")
-    corpus_load.add_argument(
-        "--max-entity-expansion", type=float, default=None, metavar="RATIO"
-    )
-    corpus_load.add_argument("--no-parse-guards", action="store_true")
-    corpus_load.set_defaults(handler=_cmd_corpus)
+    _add_parse_guards(corpus_load)
 
-    corpus_check = corpus_actions.add_parser(
+    corpus_check = _corpus_action(
         "check-fd",
-        help="check linear-syntax FDs on every stored document; "
+        "check linear-syntax FDs on every stored document; "
         "unchanged documents answer from their persisted FD index "
         "(exit 0 all satisfied / 2 violations / 3 unknown)",
     )
-    _corpus_common(corpus_check)
-    corpus_check.add_argument(
-        "--fd", required=True, action="append", help="repeatable"
-    )
+    _add_fd_schema(corpus_check, "repeatable", required=True, schema=False)
     corpus_check.add_argument(
         "--max-violations", type=int, default=5, metavar="N"
     )
@@ -1105,20 +1001,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="ignore (and do not write) persisted FD index state",
     )
-    corpus_check.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR"
-    )
-    corpus_check.add_argument("--resume", action="store_true")
-    corpus_check.set_defaults(handler=_cmd_corpus)
+    _add_checkpoint(corpus_check)
 
-    corpus_apply = corpus_actions.add_parser(
+    corpus_apply = _corpus_action(
         "apply",
-        help="apply a guarded update batch to every stored document: "
+        "apply a guarded update batch to every stored document: "
         "one independence matrix certifies the batch corpus-wide, "
         "each document revalidates only the uncertified pairs "
         "(exit 0 all committed / 2 some rolled back)",
     )
-    _corpus_common(corpus_apply)
     corpus_apply.add_argument(
         "--set",
         required=True,
@@ -1127,26 +1018,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="set the text of the nodes selected by XPATH; repeatable "
         "(the updates form one atomic per-document batch)",
     )
-    corpus_apply.add_argument(
-        "--fd", action="append", help="guard FD; repeatable"
-    )
-    corpus_apply.add_argument("--schema")
-    corpus_apply.add_argument(
-        "--strategy",
-        choices=["auto", "lazy", "eager"],
-        default="auto",
-    )
-    corpus_apply.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR"
-    )
-    corpus_apply.add_argument("--resume", action="store_true")
-    corpus_apply.set_defaults(handler=_cmd_corpus)
+    _add_fd_schema(corpus_apply, "guard FD; repeatable")
+    _add_strategy(corpus_apply)
+    _add_checkpoint(corpus_apply)
 
-    corpus_stats = corpus_actions.add_parser(
-        "stats", help="print store row counts"
-    )
-    _corpus_common(corpus_stats, budget=False)
-    corpus_stats.set_defaults(handler=_cmd_corpus)
+    _corpus_action("stats", "print store row counts", budget=False)
 
     stream = commands.add_parser(
         "stream-check",
@@ -1179,27 +1055,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes per matrix computation; the pool is "
         "spawned at boot and kept warm (default: 1)",
     )
-    serve.add_argument(
-        "--strategy",
-        choices=["auto", "lazy", "eager"],
-        default="auto",
-        help="default strategy for requests that do not name one",
-    )
-    serve.add_argument(
-        "--budget-ms",
-        type=float,
-        default=None,
-        metavar="MS",
-        help="per-cell wall-clock budget; tightened automatically as "
+    _add_strategy(serve, "default strategy for requests that do not name one")
+    _add_budget(
+        serve,
+        "per-cell wall-clock budget; tightened automatically as "
         "the admission queue fills (exhaustion degrades to UNKNOWN + "
         "needs_revalidation, still HTTP 200)",
-    )
-    serve.add_argument(
-        "--max-explored",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-cell cap on explored states/rules (see independence "
+        "per-cell cap on explored states/rules (see independence "
         "--max-explored); pressure-scaled like --budget-ms",
     )
     serve.add_argument(
@@ -1256,12 +1118,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="SIGTERM/SIGINT drain grace for finishing queued work; "
         "leftovers are answered degraded after it (default: 10000)",
     )
-    serve.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="FILE.jsonl",
-        help="write a JSONL span trace of every computation",
-    )
+    _add_outputs(serve, "write a JSONL span trace of every computation")
     # test/bench harness fault hooks; hidden from --help on purpose
     serve.add_argument(
         "--debug-hooks", action="store_true", help=argparse.SUPPRESS
@@ -1275,6 +1132,11 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    checkpointed = getattr(args, "checkpoint_parser", None)
+    if checkpointed is not None and args.resume and not args.checkpoint_dir:
+        # a resume with nothing to resume from would silently
+        # recompute everything: refuse it like any other usage error
+        checkpointed.error("--resume requires --checkpoint-dir")
     try:
         return args.handler(args)
     except ParseError as error:

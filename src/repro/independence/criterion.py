@@ -42,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import time
+from collections.abc import Iterator
 
 from repro.errors import IndependenceError
 from repro.fd.fd import FunctionalDependency
@@ -54,7 +55,7 @@ from repro.independence.strategy import (
     StrategySelector,
 )
 from repro.limits import Budget, BudgetExceeded, BudgetMeter, PartialStats
-from repro.obs.metrics import format_stats
+from repro.obs.metrics import format_stats, verdict_metrics
 from repro.obs.trace import current_tracer
 from repro.schema.dtd import Schema
 from repro.tautomata.emptiness import automaton_is_empty_typed, witness_document
@@ -136,6 +137,10 @@ class IndependenceResult:
     def unknown_reason(self) -> str | None:
         """Why the verdict is UNKNOWN (``None`` for decided runs)."""
         return None if self.partial is None else self.partial.reason
+
+    def metrics(self) -> Iterator[tuple[str, str, float]]:
+        """Verdict count, duration, explored work (see :mod:`repro.obs.metrics`)."""
+        return verdict_metrics(self)
 
     def describe(self) -> str:
         """One-paragraph human-readable account of the verdict."""

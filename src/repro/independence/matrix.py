@@ -64,7 +64,7 @@ import os
 import time
 import traceback
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 from repro.errors import IndependenceError, ReproError
 from repro.fd.fd import FunctionalDependency
@@ -82,6 +82,7 @@ from repro.independence.strategy import (
     StrategySelector,
 )
 from repro.limits import Budget, BudgetExceeded, PartialStats
+from repro.obs.metrics import COUNTER, GAUGE, verdict_metrics
 from repro.obs.trace import NOOP_TRACER, current_tracer
 from repro.pattern.template import RegularTreePattern
 from repro.schema.dtd import Schema
@@ -128,6 +129,10 @@ class MatrixCell:
     def decided(self) -> bool:
         """True when the cell ran to completion (either boolean)."""
         return self.verdict is not Verdict.UNKNOWN
+
+    def metrics(self) -> Iterator[tuple[str, str, float]]:
+        """Verdict count, duration, explored work (see :mod:`repro.obs.metrics`)."""
+        return verdict_metrics(self)
 
 
 def _witness_to_json(document: XMLDocument) -> list:
@@ -235,6 +240,20 @@ class IndependenceMatrix:
     def __post_init__(self) -> None:
         if self.recomputed_cells < 0:
             self.recomputed_cells = self.cell_count
+
+    def metrics(self) -> Iterator[tuple[str, str, float]]:
+        """Every cell's metrics plus the run-level accounting."""
+        for row in self.cells:
+            for cell in row:
+                yield from cell.metrics()
+        if self.worker_faults:
+            yield COUNTER, "matrix.worker_faults", self.worker_faults
+        if self.spliced_cells:
+            # splice accounting only exists for baseline-diffed runs; a
+            # cold run stays byte-identical in the metrics snapshot
+            yield COUNTER, "matrix.spliced_cells", self.spliced_cells
+            yield COUNTER, "matrix.recomputed_cells", self.recomputed_cells
+        yield GAUGE, "matrix.elapsed_ms", self.elapsed_seconds * 1000.0
 
     def cell(self, row: int, column: int) -> MatrixCell:
         """The cell deciding row-th FD/view against column-th update."""

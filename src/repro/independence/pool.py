@@ -47,8 +47,10 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 
+from repro.obs.metrics import GAUGE
 from repro.schema.automaton import schema_automaton
 from repro.schema.dtd import Schema
 from repro.tautomata.from_pattern import PatternAutomaton, trace_automaton
@@ -346,6 +348,17 @@ def record_serial_fallback(chunk_count: int, reason: str = "pool-fault") -> None
 def pool_stats() -> dict[str, int]:
     """A snapshot of the pool/context counters (tests diff these)."""
     return dict(_stats)
+
+
+def pool_metrics() -> Iterator[tuple[str, str, int]]:
+    """Metrics source: the pool counters as ``pool.<counter>`` gauges.
+
+    Gauges, since the counters are monotonic process-global state (pool
+    reuse, warm-up cost, spawn-gate decisions, serial fallbacks), so
+    absorbing twice reflects, never double-counts.
+    """
+    for key, value in pool_stats().items():
+        yield GAUGE, f"pool.{key}", value
 
 
 # ----------------------------------------------------------------------

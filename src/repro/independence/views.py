@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Iterator
 
 from repro.errors import IndependenceError
 from repro.independence.criterion import EAGER, LAZY, Verdict
@@ -39,7 +40,7 @@ from repro.independence.language import (
 )
 from repro.independence.strategy import AUTO, STRATEGIES, StrategySelector
 from repro.limits import Budget, BudgetExceeded, PartialStats
-from repro.obs.metrics import format_stats
+from repro.obs.metrics import format_stats, verdict_metrics
 from repro.obs.trace import current_tracer
 from repro.pattern.template import RegularTreePattern
 from repro.schema.dtd import Schema
@@ -95,6 +96,10 @@ class ViewIndependenceResult:
     def unknown_reason(self) -> str | None:
         """Why the verdict is UNKNOWN (``None`` for decided runs)."""
         return None if self.partial is None else self.partial.reason
+
+    def metrics(self) -> Iterator[tuple[str, str, float]]:
+        """Verdict count, duration, explored work (see :mod:`repro.obs.metrics`)."""
+        return verdict_metrics(self)
 
     def describe(self) -> str:
         """One-line human-readable account of the verdict."""

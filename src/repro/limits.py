@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Iterator
 
 from repro.errors import (
     DepthLimitError,
@@ -41,6 +42,7 @@ from repro.errors import (
     ReproError,
     TokenLimitError,
 )
+from repro.obs.metrics import COUNTER
 
 #: reasons a budget can be exhausted (``PartialStats.reason`` values)
 DEADLINE = "deadline"
@@ -74,6 +76,14 @@ class PartialStats:
             f"{self.explored_states} states/{self.explored_rules} rules/"
             f"{self.step_attempts} step attempts"
         )
+
+    def metrics(self) -> Iterator[tuple[str, str, int]]:
+        """``ic.partial.*`` counters plus one ``ic.unknown.<reason>``
+        count (see :mod:`repro.obs.metrics`)."""
+        yield COUNTER, "ic.partial.explored_states", self.explored_states
+        yield COUNTER, "ic.partial.explored_rules", self.explored_rules
+        yield COUNTER, "ic.partial.step_attempts", self.step_attempts
+        yield COUNTER, f"ic.unknown.{self.reason}", 1
 
 
 class BudgetExceeded(ReproError):

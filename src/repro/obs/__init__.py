@@ -8,15 +8,17 @@ pattern-matcher caches:
 * :mod:`repro.obs.trace` — nested spans with monotonic timing, a JSONL
   exporter (``scripts/trace_report.py`` reads it) and an in-memory
   collector for tests;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms plus adapters
-  that absorb the pre-existing ``ExplorationStats`` / ``PartialStats``
-  / cache counters into one snapshot dict, and :func:`stats_snapshot`,
-  the single canonical surfacing of explored-work accounting.
+* :mod:`repro.obs.metrics` — counters/gauges/histograms and the one
+  metrics protocol: every stats, cell and report type yields
+  ``(kind, name, value)`` triples from ``metrics()``, and
+  ``MetricsRegistry.absorb(*sources)`` folds any of them into one
+  snapshot dict.
 
 The overhead contract, pinned by tests the way ``budget=None`` is: the
-module-level defaults (:data:`NOOP_TRACER`, :data:`NOOP_METRICS`) are
-allocation-free no-ops, and verdicts with observability enabled are
-bit-for-bit identical to verdicts without it.
+module-level default tracer (:data:`NOOP_TRACER`) is an
+allocation-free no-op, and verdicts with observability enabled are
+bit-for-bit identical to verdicts without it.  Metrics cost nothing
+until a caller builds a registry: no pipeline code records into one.
 """
 
 from repro.obs.metrics import (
@@ -25,12 +27,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NOOP_METRICS,
-    current_metrics,
     format_metrics_table,
     format_stats,
-    install_metrics,
-    stats_snapshot,
 )
 from repro.obs.trace import (
     InMemorySpanCollector,
@@ -43,6 +41,7 @@ from repro.obs.trace import (
     current_tracer,
     install_tracer,
     installed_tracer,
+    jsonl_tracing,
     read_trace,
     span_to_record,
 )
@@ -55,20 +54,17 @@ __all__ = [
     "InMemorySpanCollector",
     "JsonlSpanExporter",
     "MetricsRegistry",
-    "NOOP_METRICS",
     "NOOP_SPAN",
     "NOOP_TRACER",
     "Span",
     "SpanExporter",
     "Tracer",
-    "current_metrics",
     "current_tracer",
     "format_metrics_table",
     "format_stats",
-    "install_metrics",
     "install_tracer",
     "installed_tracer",
+    "jsonl_tracing",
     "read_trace",
     "span_to_record",
-    "stats_snapshot",
 ]

@@ -43,6 +43,7 @@ import json
 import os
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 
@@ -448,3 +449,24 @@ class installed_tracer:
 
     def __exit__(self, *exc_info) -> None:
         install_tracer(self._previous)
+
+
+@contextmanager
+def jsonl_tracing(path: str | os.PathLike | None):
+    """Trace the block into a JSONL file at ``path`` (a no-op for none).
+
+    Opens the exporter, installs the tracer process-wide (every layer
+    resolves it through :func:`current_tracer`), and on exit — also
+    when the block raises — restores the previous tracer and closes
+    the file.  Yields the tracer, or ``None`` when ``path`` is empty.
+    """
+    if not path:
+        yield None
+        return
+    tracer = Tracer(JsonlSpanExporter(path))
+    previous = install_tracer(tracer)
+    try:
+        yield tracer
+    finally:
+        install_tracer(previous)
+        tracer.close()

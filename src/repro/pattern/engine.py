@@ -24,7 +24,7 @@ The per-evaluation caches of :class:`_MatchContext` are *node-scoped*
 node objects themselves, never by ``id(node)``: a context that outlives
 a single call (see :class:`repro.pattern.matcher.PatternMatcher`) must
 not alias a recycled ``id`` of a garbage-collected node to a stale
-entry.  :meth:`_MatchContext.absorb_replacement` repairs the caches
+entry.  :meth:`_MatchContext.repair_replacement` repairs the caches
 around a subtree replacement instead of discarding them — entries under
 the detached subtree are dropped, entries on the ancestor path are
 re-derived by rescanning only the replacement subtree, and everything
@@ -99,7 +99,7 @@ class _MatchContext:
             "exists_nodes": len(self.exists_cache),
         }
 
-    def absorb_replacement(self, old_root: XMLNode, new_root: XMLNode) -> None:
+    def repair_replacement(self, old_root: XMLNode, new_root: XMLNode) -> None:
         """Repair the caches after ``replace_subtree(old_root, new_root)``.
 
         Three node classes exist after a replacement:

@@ -116,7 +116,7 @@ class PatternMatcher:
         """Edit-listener hook: precise repair around a replacement."""
         if not self._owns(new_root):
             return
-        self._context.absorb_replacement(old_root, new_root)
+        self._context.repair_replacement(old_root, new_root)
         self._edits_absorbed += 1
         if self._tracer.enabled:
             self._tracer.event(

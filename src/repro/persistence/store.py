@@ -30,6 +30,7 @@ import json
 import os
 import shutil
 import warnings
+from collections.abc import Iterator
 from pathlib import Path
 
 from repro.errors import ResumeMismatchError
@@ -39,6 +40,7 @@ from repro.persistence.journal import (
     recover_journal,
     scan_journal,
 )
+from repro.obs.metrics import GAUGE
 from repro.obs.trace import NOOP_TRACER
 from repro.persistence.manifest import RunManifest
 from repro.persistence.snapshot import load_snapshot, write_snapshot
@@ -78,6 +80,16 @@ _persistence_stats = {
 def persistence_stats() -> dict[str, int]:
     """Snapshot of the degradation counters (daemon health + metrics)."""
     return dict(_persistence_stats)
+
+
+def persistence_metrics() -> Iterator[tuple[str, str, int]]:
+    """Metrics source: the degradation counters as ``persistence.*``
+    gauges — ``degraded_events`` (stores that fell back to memory-only)
+    and ``suppressed_warnings`` (repeats the per-group dedup swallowed,
+    so a daemon with a bad disk warns once and accounts the rest here).
+    """
+    for key, value in persistence_stats().items():
+        yield GAUGE, f"persistence.{key}", value
 
 
 def reset_persistence_warnings() -> None:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Hashable
+from collections.abc import Callable, Hashable, Iterator
 from typing import TypeVar
+
+from repro.obs.metrics import GAUGE
 
 Value = TypeVar("Value")
 
@@ -141,6 +143,15 @@ def cache_stats() -> dict[str, dict[str, int]]:
     compile_stats = compile_cache.stats.snapshot()
     compile_stats["size"] = len(compile_cache)
     return {"compile": compile_stats}
+
+
+def cache_metrics() -> Iterator[tuple[str, str, int]]:
+    """Metrics source: :func:`cache_stats` as ``cache.<cache>.<counter>``
+    gauges, exactly the values ``--cache-stats`` prints (gauges, since
+    the counters are already monotonic process state)."""
+    for cache_name, counters in cache_stats().items():
+        for key, value in counters.items():
+            yield GAUGE, f"cache.{cache_name}.{key}", value
 
 
 def clear_caches(reset_stats: bool = False) -> None:

@@ -6,9 +6,11 @@ must always identify a unique position in the expression.  This is
 exactly determinism of the Glushkov position automaton, built here from
 the classical first/last/follow sets.
 
-Used by the schema layer's strict mode; also serves as a third,
+Used by the schema layer's strict mode; also serves as a second,
 independently derived automaton construction cross-checked against
-Thompson/subset and Brzozowski derivatives in the property suite.
+Thompson/subset in the property suite (the Brzozowski-derivative
+matcher, a third engine, is a test-only oracle in
+``tests/regex/derivatives.py``).
 """
 
 from __future__ import annotations

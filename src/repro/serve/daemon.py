@@ -33,6 +33,7 @@ import sys
 
 from repro.independence import pool
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import jsonl_tracing
 from repro.serve.config import ServeConfig
 from repro.serve.http import HttpFrontend
 from repro.serve.service import IndependenceService
@@ -87,23 +88,10 @@ async def _serve(
 def run_daemon(config: ServeConfig, ready_stream=None) -> int:
     """Boot the daemon and block until drained; returns the exit code."""
     ready_stream = sys.stdout if ready_stream is None else ready_stream
-    metrics = MetricsRegistry()
-    tracer = None
-    if config.trace_path:
-        from repro.obs.trace import JsonlSpanExporter, Tracer, install_tracer
-
-        tracer = Tracer(JsonlSpanExporter(config.trace_path))
-        install_tracer(tracer)
-    try:
+    with jsonl_tracing(config.trace_path) as tracer:
         exit_code, clean = asyncio.run(
-            _serve(config, metrics, tracer, ready_stream)
+            _serve(config, MetricsRegistry(), tracer, ready_stream)
         )
-    finally:
-        if tracer is not None:
-            from repro.obs.trace import install_tracer
-
-            install_tracer(None)
-            tracer.close()
     if not clean:
         # a wedged compute thread cannot be joined; everything durable
         # is already on disk, so leave without the thread-join hang

@@ -60,7 +60,8 @@ from repro.independence import pool
 from repro.independence.matrix import FaultInjection, check_independence_matrix
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import NOOP_TRACER
-from repro.persistence.store import persistence_stats
+from repro.persistence.store import persistence_metrics, persistence_stats
+from repro.regex.cache import cache_metrics
 from repro.serve.api import (
     BadRequest,
     IndependenceRequest,
@@ -374,7 +375,7 @@ class IndependenceService:
             # the matrix spawn-cost gate degraded this run to serial —
             # it proved nothing about the pool; free any probe slot
             self.breaker.release_probe()
-        self.metrics.absorb_matrix(matrix)
+        self.metrics.absorb(matrix)
         full = matrix.to_json_dict(include_witnesses=first.want_witness)
         self._counts["computed"] += len(batch)
         self.metrics.counter("serve.computed").inc(len(batch))
@@ -508,9 +509,7 @@ class IndependenceService:
 
     def metrics_snapshot(self) -> dict:
         """``/metrics`` body: the registry, refreshed from the globals."""
-        self.metrics.absorb_caches()
-        self.metrics.absorb_pool()
-        self.metrics.absorb_persistence()
+        self.metrics.absorb(cache_metrics, pool.pool_metrics, persistence_metrics)
         self.metrics.gauge("serve.queue_depth").set(len(self._pending))
         return self.metrics.snapshot()
 

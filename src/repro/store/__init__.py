@@ -5,8 +5,8 @@ The package splits into four layers:
 * :mod:`repro.store.encoding` — document <-> node/edge/attr rows;
 * :mod:`repro.store.backend` — the :class:`StorageBackend` contract and
   the :func:`open_backend` location factory (plus the
-  :mod:`~repro.store.memory`, :mod:`~repro.store.sqlite` and stubbed
-  :mod:`~repro.store.postgres` implementations behind it);
+  :mod:`~repro.store.memory` and :mod:`~repro.store.sqlite`
+  implementations behind it);
 * :mod:`repro.store.fdstate` — persistable FD index snapshots;
 * :mod:`repro.store.corpus` — :class:`CorpusStore`, the corpus-scale
   load / check-FD / guarded-apply operations.

@@ -22,8 +22,9 @@ Backends resolve from a location string::
 
     ":memory:" / "memory://"   in-process, dies with the process
     "corpus.db" / "sqlite://corpus.db"   stdlib sqlite3, WAL mode
-    "postgres://..." / "postgresql://..."   optional; degrades with a
-        structured StoreBackendUnavailable when the driver is absent
+
+Any other ``scheme://`` location is refused with a :class:`StoreError`
+naming the accepted forms — never taken for a SQLite file name.
 """
 
 from __future__ import annotations
@@ -137,18 +138,20 @@ def open_backend(location: str) -> StorageBackend:
     """Resolve a location string to a live backend (see module doc)."""
     if not isinstance(location, str) or not location:
         raise StoreError(f"not a storage location: {location!r}")
-    if location == ":memory:" or location.startswith("memory://"):
+    scheme, separator, path = location.partition("://")
+    if location == ":memory:" or (separator and scheme == "memory"):
         from repro.store.memory import MemoryBackend
 
         return MemoryBackend()
-    if location.startswith(("postgres://", "postgresql://")):
-        from repro.store.postgres import open_postgres
-
-        return open_postgres(location)
-    if location.startswith("sqlite://"):
-        location = location[len("sqlite://") :]
-        if not location:
+    if separator:
+        if scheme != "sqlite":
+            raise StoreError(
+                f"unsupported storage location {location!r}: use a sqlite "
+                f"file path, sqlite://PATH, ':memory:' or memory://"
+            )
+        if not path:
             raise StoreError("sqlite:// needs a database path")
+        location = path
     from repro.store.sqlite import SqliteBackend
 
     return SqliteBackend(location)

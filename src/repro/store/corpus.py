@@ -41,6 +41,7 @@ import dataclasses
 import hashlib
 import json
 import time
+from collections.abc import Iterator
 
 from repro.audit.findings import (
     IO_ERROR,
@@ -52,6 +53,7 @@ from repro.errors import ParseError, StoreError
 from repro.fd.fd import FunctionalDependency
 from repro.fd.satisfaction import check_fd
 from repro.limits import Budget, BudgetExceeded, ParseBudget
+from repro.obs.metrics import COUNTER, GAUGE
 from repro.obs.trace import current_tracer
 from repro.persistence.manifest import (
     RunManifest,
@@ -115,6 +117,16 @@ class CorpusLoadReport:
         if self.elapsed_seconds <= 0.0:
             return 0.0
         return self.documents_seen / self.elapsed_seconds
+
+    def metrics(self) -> Iterator[tuple[str, str, float]]:
+        """``corpus.load.*`` metrics (see :mod:`repro.obs.metrics`)."""
+        yield COUNTER, "corpus.load.documents", self.documents_seen
+        yield COUNTER, "corpus.load.loaded", self.loaded
+        yield COUNTER, "corpus.load.unchanged", self.unchanged
+        yield COUNTER, "corpus.load.errors", self.errors
+        yield COUNTER, "corpus.load.chunks", self.chunks_committed
+        yield GAUGE, "corpus.load.docs_per_second", self.docs_per_second
+        yield GAUGE, "corpus.load.elapsed_ms", self.elapsed_seconds * 1000.0
 
     def to_json_dict(self) -> dict:
         """JSON-ready form (the ``--json-out`` payload)."""
@@ -188,6 +200,16 @@ class CorpusCheckReport:
     @property
     def indexed_documents(self) -> int:
         return sum(d.indexed for d in self.documents)
+
+    def metrics(self) -> Iterator[tuple[str, str, float]]:
+        """``corpus.check.*`` metrics (see :mod:`repro.obs.metrics`)."""
+        yield COUNTER, "corpus.check.documents", len(self.documents)
+        yield COUNTER, "corpus.check.satisfied", self.satisfied_count
+        yield COUNTER, "corpus.check.violated", self.violated_count
+        yield COUNTER, "corpus.check.unknown", self.unknown_count
+        yield COUNTER, "corpus.check.index_hits", self.index_hits
+        yield COUNTER, "corpus.check.indexed", self.indexed_documents
+        yield GAUGE, "corpus.check.elapsed_ms", self.elapsed_seconds * 1000.0
 
     def to_json_dict(self) -> dict:
         """JSON-ready form (the ``--json-out`` payload)."""
@@ -271,6 +293,15 @@ class CorpusApplyReport:
     @property
     def checks_skipped(self) -> int:
         return sum(d.checks_skipped for d in self.documents)
+
+    def metrics(self) -> Iterator[tuple[str, str, float]]:
+        """``corpus.apply.*`` metrics (see :mod:`repro.obs.metrics`)."""
+        yield COUNTER, "corpus.apply.documents", len(self.documents)
+        yield COUNTER, "corpus.apply.committed", self.committed_count
+        yield COUNTER, "corpus.apply.rolled_back", self.rolled_back_count
+        yield COUNTER, "corpus.apply.checks_run", self.checks_run
+        yield COUNTER, "corpus.apply.checks_skipped", self.checks_skipped
+        yield GAUGE, "corpus.apply.elapsed_ms", self.elapsed_seconds * 1000.0
 
     def to_json_dict(self) -> dict:
         """JSON-ready form (the ``--json-out`` payload)."""

@@ -36,6 +36,7 @@ import dataclasses
 from collections.abc import Callable, Collection, Iterable, Iterator
 
 from repro.limits import BudgetMeter
+from repro.obs.metrics import COUNTER
 from repro.obs.trace import NOOP_TRACER
 from repro.tautomata.hedge import HedgeAutomaton, LabelSpec, Rule, State
 from repro.tautomata.horizontal import ProductHorizontal, ProjectedHorizontal
@@ -251,6 +252,16 @@ class ExplorationStats:
         """States + rules actually visited (the lazy analogue of
         :meth:`repro.tautomata.hedge.HedgeAutomaton.size`)."""
         return self.explored_states + self.explored_rules
+
+    def metrics(self) -> Iterator[tuple[str, str, int]]:
+        """``ic.*`` counters (see :mod:`repro.obs.metrics`); the
+        untracked ``fired_rules`` is omitted, never reported as 0."""
+        yield COUNTER, "ic.explored_states", self.explored_states
+        yield COUNTER, "ic.explored_rules", self.explored_rules
+        yield COUNTER, "ic.worst_case_rules", self.worst_case_rules
+        yield COUNTER, "ic.step_attempts", self.step_attempts
+        if self.fired_rules is not None:
+            yield COUNTER, "ic.fired_rules", self.fired_rules
 
 
 @dataclasses.dataclass

@@ -3,8 +3,8 @@
 The acceptance bar for the whole subsystem: for randomized (FD, update
 class[, schema]) instances — plain, budgeted, and checkpointed matrix
 runs — the verdict AND the explored-work accounting of a run with a
-live tracer + metrics registry are bit-for-bit identical to the same
-run with observability disabled.  ``ExplorationStats`` is a frozen
+live tracer are bit-for-bit identical to the same run with
+observability disabled.  ``ExplorationStats`` is a frozen
 dataclass, so ``==`` compares every counter exactly.
 
 200+ sampled instances: 100 seeds x plain pairs, 50 seeds x budgeted
@@ -18,7 +18,6 @@ import pytest
 from repro.independence.criterion import check_independence
 from repro.independence.matrix import check_independence_matrix
 from repro.limits import Budget
-from repro.obs.metrics import MetricsRegistry, install_metrics
 from repro.obs.trace import InMemorySpanCollector, Tracer, installed_tracer
 from repro.workload.random_patterns import (
     random_functional_dependency,
@@ -31,15 +30,10 @@ LABELS = ("a", "b", "c")
 
 
 def _traced(callable_):
-    """Run ``callable_`` under a live tracer + metrics registry."""
+    """Run ``callable_`` under a live tracer."""
     collector = InMemorySpanCollector()
-    registry = MetricsRegistry()
-    previous = install_metrics(registry)
-    try:
-        with installed_tracer(Tracer(collector)):
-            result = callable_()
-    finally:
-        install_metrics(previous)
+    with installed_tracer(Tracer(collector)):
+        result = callable_()
     assert collector.spans, "the traced run must actually produce spans"
     return result
 

@@ -9,12 +9,8 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NOOP_METRICS,
-    current_metrics,
     format_metrics_table,
     format_stats,
-    install_metrics,
-    stats_snapshot,
 )
 from repro.tautomata.lazy import ExplorationStats
 
@@ -121,8 +117,7 @@ class TestRegistry:
         assert registry.histogram("z") is registry.histogram("z")
 
     def test_absorb_exploration(self):
-        registry = MetricsRegistry()
-        registry.absorb_exploration(_stats(fired=4))
+        registry = MetricsRegistry().absorb(_stats(fired=4))
         snapshot = registry.snapshot()
         assert snapshot["counters"]["ic.explored_states"] == 2
         assert snapshot["counters"]["ic.explored_rules"] == 5
@@ -131,33 +126,29 @@ class TestRegistry:
         assert snapshot["counters"]["ic.fired_rules"] == 4
 
     def test_absorb_exploration_skips_untracked_fired_rules(self):
-        registry = MetricsRegistry()
-        registry.absorb_exploration(_stats(fired=None))
+        registry = MetricsRegistry().absorb(_stats(fired=None))
         assert "ic.fired_rules" not in registry.snapshot()["counters"]
 
     def test_absorb_partial_counts_reason(self):
         registry = MetricsRegistry()
-        registry.absorb_partial(_partial("deadline"))
-        registry.absorb_partial(_partial("deadline"))
+        registry.absorb(_partial("deadline"), _partial("deadline"))
         snapshot = registry.snapshot()
         assert snapshot["counters"]["ic.unknown.deadline"] == 2
         assert snapshot["counters"]["ic.partial.explored_rules"] == 4
 
     def test_absorb_caches_mirrors_cache_stats_exactly(self):
-        from repro.regex.cache import cache_stats
+        from repro.regex.cache import cache_metrics, cache_stats
 
-        registry = MetricsRegistry()
-        registry.absorb_caches()
+        registry = MetricsRegistry().absorb(cache_metrics)
         gauges = registry.snapshot()["gauges"]
         for cache_name, counters in cache_stats().items():
             for key, value in counters.items():
                 assert gauges[f"cache.{cache_name}.{key}"] == value
 
     def test_absorb_pool_mirrors_pool_stats_as_gauges(self):
-        from repro.independence.pool import pool_stats
+        from repro.independence.pool import pool_metrics, pool_stats
 
-        registry = MetricsRegistry()
-        registry.absorb_pool()
+        registry = MetricsRegistry().absorb(pool_metrics)
         gauges = registry.snapshot()["gauges"]
         stats = pool_stats()
         for key in (
@@ -170,11 +161,13 @@ class TestRegistry:
         ):
             assert gauges[f"pool.{key}"] == stats[key]
 
-    def test_absorb_pool_accepts_a_pinned_snapshot(self):
-        registry = MetricsRegistry()
-        registry.absorb_pool({"gate_serial": 3})
+    def test_absorb_pool_accepts_a_pinned_snapshot(self, monkeypatch):
+        from repro.independence import pool
+
+        monkeypatch.setattr(pool, "_stats", {"gate_serial": 3})
+        registry = MetricsRegistry().absorb(pool.pool_metrics)
         # re-absorbing reflects (gauge), never double-counts
-        registry.absorb_pool({"gate_serial": 3})
+        registry.absorb(pool.pool_metrics)
         assert registry.snapshot()["gauges"]["pool.gate_serial"] == 3
 
     def test_snapshot_is_plain_json_data(self):
@@ -187,52 +180,44 @@ class TestRegistry:
         json.dumps(registry.snapshot())  # raises if not JSON-ready
 
 
-class TestNoopRegistry:
-    def test_default_is_noop(self):
-        assert current_metrics() is NOOP_METRICS
-
-    def test_install_and_restore(self):
-        registry = MetricsRegistry()
-        previous = install_metrics(registry)
-        try:
-            assert current_metrics() is registry
-        finally:
-            install_metrics(previous)
-        assert current_metrics() is NOOP_METRICS
-
-    def test_noop_instruments_accumulate_nothing(self):
-        NOOP_METRICS.counter("c").inc(5)
-        NOOP_METRICS.gauge("g").set(3)
-        NOOP_METRICS.histogram("h").observe(1.0)
-        assert NOOP_METRICS.snapshot() == {}
-
-
 class TestStatsSnapshot:
+    """Explored-work accounting surfaces through ``metrics()`` only:
+    the same names for every pair, whichever stats object it carries."""
+
+    def _cell(self, exploration=None, partial=None):
+        from repro.independence.criterion import Verdict
+        from repro.independence.matrix import MatrixCell
+
+        return MatrixCell(
+            row=0, column=0, verdict=Verdict.UNKNOWN if partial else
+            Verdict.INDEPENDENT, elapsed_seconds=0.002,
+            exploration=exploration, partial=partial,
+        )
+
     def test_empty_run(self):
-        snapshot = stats_snapshot()
-        assert snapshot == {
-            "explored_states": 0,
-            "explored_rules": 0,
-            "fired_rules": None,
-            "worst_case_rules": None,
-            "step_attempts": 0,
-            "reason": None,
-        }
+        snapshot = MetricsRegistry().absorb(self._cell()).snapshot()
+        assert snapshot["counters"] == {"ic.verdict.independent": 1}
+        assert snapshot["gauges"] == {}
+        assert list(snapshot["histograms"]) == ["ic.cell_ms"]
 
     def test_exploration_fields(self):
-        snapshot = stats_snapshot(exploration=_stats(fired=7))
-        assert snapshot["explored_states"] == 2
-        assert snapshot["explored_rules"] == 5
-        assert snapshot["fired_rules"] == 7
-        assert snapshot["worst_case_rules"] == 40
-        assert snapshot["reason"] is None
+        counters = MetricsRegistry().absorb(
+            self._cell(exploration=_stats(fired=7))
+        ).snapshot()["counters"]
+        assert counters["ic.explored_states"] == 2
+        assert counters["ic.explored_rules"] == 5
+        assert counters["ic.fired_rules"] == 7
+        assert counters["ic.worst_case_rules"] == 40
+        assert not any(name.startswith("ic.unknown.") for name in counters)
 
     def test_partial_fields(self):
-        snapshot = stats_snapshot(partial=_partial("rules"))
-        assert snapshot["explored_states"] == 1
-        assert snapshot["explored_rules"] == 2
-        assert snapshot["worst_case_rules"] is None  # never learned
-        assert snapshot["reason"] == "rules"
+        counters = MetricsRegistry().absorb(
+            self._cell(partial=_partial("rules"))
+        ).snapshot()["counters"]
+        assert counters["ic.partial.explored_states"] == 1
+        assert counters["ic.partial.explored_rules"] == 2
+        assert "ic.worst_case_rules" not in counters  # never learned
+        assert counters["ic.unknown.rules"] == 1
 
 
 class TestFormatStats:

@@ -3,7 +3,7 @@
 Both flags surface the same process-global cache accounting — one as
 ``# cache[name]: key=value`` lines, the other as ``cache.name.key``
 gauges in the metrics table.  They are produced by independent code
-paths (``_print_cache_stats`` vs ``MetricsRegistry.absorb_caches``), so
+paths (``_print_cache_stats`` vs the ``cache_metrics`` source), so
 a drift between them means one surface is lying.  This regression test
 runs the CLI once with both flags and cross-checks every shared key.
 """

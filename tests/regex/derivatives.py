@@ -9,6 +9,10 @@ the property suite runs both on random expressions and words.
 Derivatives are computed with light algebraic simplification (the
 similarity rules of Brzozowski's paper) so repeated derivation does not
 grow expressions unboundedly.
+
+Only the test-suite uses this matcher (``test_derivatives.py``), so it
+lives under ``tests/`` as an oracle rather than in the installed
+package.
 """
 
 from __future__ import annotations

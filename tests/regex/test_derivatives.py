@@ -15,7 +15,7 @@ from repro.regex.ast import (
     Union,
 )
 from repro.regex.dfa import compile_regex
-from repro.regex.derivatives import EMPTY, EPSILON, derivative, matches
+from tests.regex.derivatives import EMPTY, EPSILON, derivative, matches
 from repro.regex.parser import parse_regex
 
 

@@ -17,6 +17,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.persistence import PersistenceWarning
 from repro.persistence.store import (
     _warn_degraded,
+    persistence_metrics,
     persistence_stats,
     reset_persistence_warnings,
 )
@@ -118,8 +119,7 @@ class TestPersistenceWarningDedup:
         with pytest.warns(PersistenceWarning):
             _warn_degraded("x", group="g", stacklevel=1)
         _warn_degraded("y", group="g", stacklevel=1)
-        registry = MetricsRegistry()
-        registry.absorb_persistence()
+        registry = MetricsRegistry().absorb(persistence_metrics)
         snapshot = registry.snapshot()
         assert snapshot["gauges"]["persistence.degraded_events"] == 2
         assert snapshot["gauges"]["persistence.suppressed_warnings"] == 1
