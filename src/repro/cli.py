@@ -599,11 +599,13 @@ def _cmd_corpus(args: argparse.Namespace) -> int:
             return _finish(args, 0 if report.rolled_back_count == 0 else 2, report)
 
         # action == "stats"
+        from repro.store.corpus import stats_metrics
+
         stats = store.stats()
         for key, value in sorted(stats.items()):
             print(f"{key}: {value}")
         _json_out(args, stats)
-        return 0
+        return _finish(args, 0, functools.partial(stats_metrics, stats))
 
 
 # ----------------------------------------------------------------------

@@ -48,7 +48,6 @@ from repro.independence.hardness import (
 from repro.independence.views import (
     ViewIndependenceResult,
     check_view_independence,
-    view_dangerous_language,
 )
 from repro.independence.explain import ImpactDemonstration, demonstrate_impact
 
@@ -75,7 +74,6 @@ __all__ = [
     "violation_witness_for",
     "ViewIndependenceResult",
     "check_view_independence",
-    "view_dangerous_language",
     "ImpactDemonstration",
     "demonstrate_impact",
 ]

@@ -32,6 +32,13 @@ Three strategies decide the same emptiness:
   the default picks per instance instead of assuming one regime.  The
   result's ``strategy`` field reports the resolved choice.
 
+:func:`decide_dangerous` is the one place that does all of this —
+strategy resolution, metering, the lazy or eager run, the UNKNOWN
+mapping — for per-pair FD checks, per-pair view checks
+(:mod:`repro.independence.views`) and every matrix cell
+(:mod:`repro.independence.matrix`) alike; the entry points only build
+the factors and wrap the outcome in their result types.
+
 The check never looks at any source document — its cost depends only on
 ``|FD|``, ``|U|``, ``|A_S|`` and the alphabet, which is the efficiency
 claim the paper makes against the revalidation approach of [14].
@@ -41,12 +48,18 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import time
 from collections.abc import Iterator
 
 from repro.errors import IndependenceError
 from repro.fd.fd import FunctionalDependency
-from repro.independence.language import DangerousLanguage, dangerous_language
+from repro.independence.language import (
+    DangerousLanguage,
+    dangerous_language,
+    eager_dangerous_automaton,
+    explore_dangerous_factors,
+)
 from repro.independence.strategy import (
     AUTO,
     EAGER,
@@ -54,11 +67,14 @@ from repro.independence.strategy import (
     STRATEGIES,
     StrategySelector,
 )
-from repro.limits import Budget, BudgetExceeded, BudgetMeter, PartialStats
+from repro.limits import Budget, BudgetExceeded, PartialStats
 from repro.obs.metrics import format_stats, verdict_metrics
-from repro.obs.trace import current_tracer
+from repro.obs.trace import NOOP_TRACER, current_tracer
+from repro.pattern.template import RegularTreePattern
 from repro.schema.dtd import Schema
 from repro.tautomata.emptiness import automaton_is_empty_typed, witness_document
+from repro.tautomata.from_pattern import PatternAutomaton
+from repro.tautomata.hedge import HedgeAutomaton
 from repro.tautomata.lazy import ExplorationStats
 from repro.update.update_class import UpdateClass
 from repro.xmlmodel.tree import XMLDocument
@@ -67,9 +83,11 @@ __all__ = [
     "AUTO",
     "EAGER",
     "LAZY",
+    "DangerousOutcome",
     "IndependenceResult",
     "Verdict",
     "check_independence",
+    "decide_dangerous",
 ]
 
 
@@ -165,12 +183,139 @@ class IndependenceResult:
         return "\n".join(lines)
 
 
-def _start_meter(budget: Budget | None) -> BudgetMeter | None:
-    return None if budget is None or budget.unbounded else budget.start()
+@dataclasses.dataclass
+class DangerousOutcome:
+    """What one decision of ``L = ∅`` established (:func:`decide_dangerous`).
+
+    ``strategy`` is the resolved one (never ``"auto"``).  ``automaton``
+    is the eager product when the decision materialized it and ``None``
+    otherwise; ``exploration`` carries the lazy accounting and
+    ``partial`` the explored-so-far counters of an UNKNOWN verdict.
+    """
+
+    verdict: Verdict
+    strategy: str
+    witness: XMLDocument | None = None
+    exploration: ExplorationStats | None = None
+    partial: PartialStats | None = None
+    automaton: HedgeAutomaton | None = None
+
+    @functools.cached_property
+    def automaton_size(self) -> int:
+        """Size of what the decision touched (see :class:`IndependenceResult`)."""
+        if self.partial is not None:
+            return self.partial.explored_states + self.partial.explored_rules
+        if self.exploration is not None:
+            return self.exploration.explored_size
+        return self.automaton.size()
 
 
-def _alphabet_size(pattern, update_class, schema) -> int:
-    """Width of the shared global alphabet the factors are built over."""
+def validate_strategy(strategy: str) -> None:
+    """Reject a strategy name no entry point knows."""
+    if strategy not in STRATEGIES:
+        raise IndependenceError(
+            f"unknown independence strategy {strategy!r}; "
+            f"expected {AUTO!r}, {LAZY!r} or {EAGER!r}"
+        )
+
+
+def decide_dangerous(
+    pattern_automaton: PatternAutomaton,
+    update_automaton: PatternAutomaton,
+    schema_hedge: HedgeAutomaton | None,
+    strategy: str,
+    want_witness: bool,
+    budget: Budget | None,
+    alphabet_size: int,
+    selector: StrategySelector | None = None,
+    factor_cache: dict | None = None,
+    tracer=NOOP_TRACER,
+    span=None,
+) -> DangerousOutcome:
+    """Decide ``L = ∅`` for one (pattern, update[, schema]) cell.
+
+    The one decision procedure behind per-pair FD checks, per-pair view
+    checks and every matrix cell.  ``strategy="auto"`` resolves through
+    ``selector`` — a matrix row chunk passes its own so the explored
+    fractions of earlier lazy cells steer later choices; per-pair calls
+    leave it ``None`` and get a fresh one.  ``budget`` starts one fresh
+    meter for this decision; running out yields verdict UNKNOWN with the
+    partial statistics, never an exception.  ``span`` (the caller's open
+    span) receives the resolved strategy, the verdict and the explored
+    or eager size; the caller adds its own identity attributes.
+    """
+    validate_strategy(strategy)
+    if strategy == AUTO:
+        if selector is None:
+            selector = StrategySelector()
+        strategy = selector.choose(
+            pattern_rules=len(pattern_automaton.automaton.rules),
+            update_rules=len(update_automaton.automaton.rules),
+            schema_rules=0 if schema_hedge is None else len(schema_hedge.rules),
+            alphabet_size=alphabet_size,
+        )
+    else:
+        selector = None  # fixed strategies neither consult nor feed it
+    meter = None if budget is None or budget.unbounded else budget.start()
+    witness = exploration = automaton = partial = None
+    try:
+        if strategy == LAZY:
+            explored = explore_dangerous_factors(
+                pattern_automaton,
+                update_automaton,
+                schema_hedge,
+                want_witness=want_witness,
+                factor_cache=factor_cache,
+                meter=meter,
+                tracer=tracer,
+            )
+            empty = explored.empty
+            witness = explored.witness
+            exploration = explored.stats
+        else:
+            if meter is not None:
+                meter.check_deadline()
+            with tracer.span("ic.eager_product"):
+                automaton = eager_dangerous_automaton(
+                    pattern_automaton, update_automaton, schema_hedge
+                )
+            if meter is not None:
+                meter.check_deadline()
+            with tracer.span("ic.eager_emptiness"):
+                if want_witness:
+                    witness = witness_document(automaton, meter=meter)
+                    empty = witness is None
+                else:
+                    empty = automaton_is_empty_typed(automaton, meter=meter)
+        verdict = Verdict.INDEPENDENT if empty else Verdict.POSSIBLY_DEPENDENT
+    except BudgetExceeded as signal:
+        verdict = Verdict.UNKNOWN
+        partial = signal.partial
+        witness = exploration = automaton = None
+    if selector is not None and exploration is not None:
+        selector.observe(exploration)
+    outcome = DangerousOutcome(
+        verdict, strategy, witness, exploration, partial, automaton
+    )
+    if span is not None and span.enabled:
+        span.set_attribute("strategy", strategy)
+        span.set_attribute("verdict", verdict.value)
+        if automaton is not None:
+            span.set_attribute("automaton_size", outcome.automaton_size)
+        if exploration is not None:
+            span.set_attribute("explored_rules", exploration.explored_rules)
+            span.set_attribute(
+                "worst_case_rules", exploration.worst_case_rules
+            )
+    return outcome
+
+
+def pair_alphabet_size(
+    pattern: RegularTreePattern,
+    update_class: UpdateClass,
+    schema: Schema | None,
+) -> int:
+    """Width of the alphabet one pair's factors are built over."""
     alphabet = set(pattern.template.alphabet())
     alphabet |= update_class.pattern.template.alphabet()
     if schema is not None:
@@ -185,7 +330,6 @@ def check_independence(
     want_witness: bool = True,
     strategy: str = AUTO,
     budget: Budget | None = None,
-    _factor_cache: dict | None = None,
     tracer=None,
 ) -> IndependenceResult:
     """Run the criterion IC on a (FD, update-class[, schema]) triple.
@@ -193,7 +337,9 @@ def check_independence(
     Emptiness is decided under the XML typing rules (leaf-labeled nodes
     cannot carry children) rather than the classical untyped fixpoint,
     so the verdict quantifies exactly over real documents.  Witness
-    construction runs only when the tree is actually wanted.
+    construction runs only when the tree is actually wanted.  The
+    decision itself is :func:`decide_dangerous`, shared with the view
+    criterion and the matrix cells.
 
     With a ``budget``, every fixpoint charges its work against one
     shared meter; a run that exhausts the budget returns verdict
@@ -208,102 +354,43 @@ def check_independence(
     verdict: the differential suite pins traced and untraced runs
     bit-for-bit equal.
     """
-    if strategy not in STRATEGIES:
-        raise IndependenceError(
-            f"unknown independence strategy {strategy!r}; "
-            f"expected {AUTO!r}, {LAZY!r} or {EAGER!r}"
-        )
     if tracer is None:
         tracer = current_tracer()
     started = time.perf_counter()
-    meter = _start_meter(budget)
-    exploration: ExplorationStats | None = None
-    partial: PartialStats | None = None
-    witness: XMLDocument | None = None
     with tracer.span("ic.check") as check_span:
         with tracer.span("ic.construct"):
             language = dangerous_language(
                 fd, update_class, schema=schema, materialize=False,
                 tracer=tracer,
             )
-        requested = strategy
-        if strategy == AUTO:
-            strategy = StrategySelector().choose(
-                pattern_rules=len(language.fd_automaton.automaton.rules),
-                update_rules=len(language.update_automaton.automaton.rules),
-                schema_rules=(
-                    0
-                    if language.schema_automaton is None
-                    else len(language.schema_automaton.rules)
-                ),
-                alphabet_size=_alphabet_size(fd.pattern, update_class, schema),
-            )
-        try:
-            if strategy == LAZY:
-                outcome = language.explore(
-                    want_witness=want_witness,
-                    factor_cache=_factor_cache,
-                    meter=meter,
-                    tracer=tracer,
-                )
-                empty = outcome.empty
-                witness = outcome.witness
-                exploration = outcome.stats
-                automaton_size = exploration.explored_size
-            else:
-                if meter is not None:
-                    meter.check_deadline()
-                with tracer.span("ic.eager_product"):
-                    language.automaton  # force the eager products now
-                if meter is not None:
-                    meter.check_deadline()
-                with tracer.span("ic.eager_emptiness"):
-                    if want_witness:
-                        witness = witness_document(
-                            language.automaton, meter=meter
-                        )
-                        empty = witness is None
-                    else:
-                        empty = automaton_is_empty_typed(
-                            language.automaton, meter=meter
-                        )
-                automaton_size = language.automaton.size()
-            verdict = (
-                Verdict.INDEPENDENT if empty else Verdict.POSSIBLY_DEPENDENT
-            )
-        except BudgetExceeded as signal:
-            verdict = Verdict.UNKNOWN
-            partial = signal.partial
-            witness = None
-            exploration = None
-            automaton_size = partial.explored_states + partial.explored_rules
+        outcome = decide_dangerous(
+            language.fd_automaton,
+            language.update_automaton,
+            language.schema_automaton,
+            strategy,
+            want_witness,
+            budget,
+            pair_alphabet_size(fd.pattern, update_class, schema),
+            tracer=tracer,
+            span=check_span,
+        )
         if check_span.enabled:
             check_span.set_attribute("fd", fd.name)
             check_span.set_attribute("update_class", update_class.name)
-            check_span.set_attribute("strategy", strategy)
-            if requested == AUTO:
+            if strategy == AUTO:
                 check_span.set_attribute("strategy_requested", AUTO)
-            check_span.set_attribute("verdict", verdict.value)
-            check_span.set_attribute("automaton_size", automaton_size)
-            if exploration is not None:
-                check_span.set_attribute(
-                    "explored_rules", exploration.explored_rules
-                )
-                check_span.set_attribute(
-                    "worst_case_rules", exploration.worst_case_rules
-                )
-    elapsed = time.perf_counter() - started
+            check_span.set_attribute("automaton_size", outcome.automaton_size)
     return IndependenceResult(
-        verdict=verdict,
+        verdict=outcome.verdict,
         fd=fd,
         update_class=update_class,
         schema=schema,
         language=language,
-        witness=witness,
-        automaton_size=automaton_size,
-        elapsed_seconds=elapsed,
-        strategy=strategy,
-        exploration=exploration,
+        witness=outcome.witness,
+        automaton_size=outcome.automaton_size,
+        elapsed_seconds=time.perf_counter() - started,
+        strategy=outcome.strategy,
+        exploration=outcome.exploration,
         budget=budget,
-        partial=partial,
+        partial=outcome.partial,
     )

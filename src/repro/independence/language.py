@@ -22,15 +22,17 @@ Proposition 3 sketch, the automaton for ``L`` is assembled as:
    ``(ACC, ACC, 1)``;
 4. ``A = A_S × B`` when a schema is given.
 
-The products exist in two regimes sharing one rule recipe
-(:func:`flagged_rules`): the *eager* construction materializes every
-rule pair (kept for the T2 size study), while the *lazy* pipeline
-(:func:`explore_dangerous_factors`, built on
-:mod:`repro.tautomata.lazy`) generates product rules only for
-label-compatible pairs of individually fireable component rules and
-explores them with the worklist fixpoint — same verdicts, a fraction of
-the work.  :class:`DangerousLanguage` materializes its eager automata on
-first attribute access, so the lazy criterion never pays for them.
+Both ways of deciding ``L = ∅`` share one rule recipe
+(:func:`flagged_rules`): :func:`eager_dangerous_automaton` materializes
+every rule pair (also the T2 size study's construction), while
+:func:`explore_dangerous_factors` (built on :mod:`repro.tautomata.lazy`)
+generates product rules only for label-compatible pairs of individually
+fireable component rules and explores them with the worklist fixpoint —
+same verdicts, a fraction of the work.  Which of the two decides a
+given check is settled in one place,
+:func:`repro.independence.criterion.decide_dangerous`.
+:class:`DangerousLanguage` materializes its eager automata on first
+attribute access, so lazy decisions never pay for them.
 
 As in the paper, the construction requires the update class to select a
 leaf of its template (otherwise the "the update trace survives the
@@ -195,6 +197,23 @@ def _flagged_product(
     )
 
 
+def eager_dangerous_automaton(
+    pattern_automaton: PatternAutomaton,
+    update_automaton: PatternAutomaton,
+    schema_hedge: HedgeAutomaton | None,
+    flagged: HedgeAutomaton | None = None,
+) -> HedgeAutomaton:
+    """The eager ``A``: ``B``, or ``A_S × B`` under a schema.
+
+    ``flagged`` reuses an already built ``B`` instead of rebuilding it.
+    """
+    if flagged is None:
+        flagged = _flagged_product(pattern_automaton, update_automaton)
+    if schema_hedge is None:
+        return flagged
+    return product_automaton(schema_hedge, flagged, name="A_S×B")
+
+
 def dangerous_factors(
     pattern: RegularTreePattern,
     update_class: UpdateClass,
@@ -272,35 +291,17 @@ class DangerousLanguage:
     def automaton(self) -> HedgeAutomaton:
         """The eager final ``A`` (``B``, or ``A_S × B`` under a schema)."""
         if self._final is None:
-            if self.schema_automaton is None:
-                self._final = self.flagged_product
-            else:
-                self._final = product_automaton(
-                    self.schema_automaton, self.flagged_product, name="A_S×B"
-                )
+            self._final = eager_dangerous_automaton(
+                self.fd_automaton,
+                self.update_automaton,
+                self.schema_automaton,
+                flagged=self.flagged_product,
+            )
         return self._final
 
     def size(self) -> int:
         """Size of the final automaton (tracked against Prop. 3)."""
         return self.automaton.size()
-
-    def explore(
-        self,
-        want_witness: bool = False,
-        factor_cache: dict | None = None,
-        meter: "BudgetMeter | None" = None,
-        tracer=None,
-    ) -> "DangerousExploration":
-        """Lazy emptiness of ``L`` (never builds the eager products)."""
-        return explore_dangerous_factors(
-            self.fd_automaton,
-            self.update_automaton,
-            self.schema_automaton,
-            want_witness=want_witness,
-            factor_cache=factor_cache,
-            meter=meter,
-            tracer=tracer,
-        )
 
 
 def dangerous_language(

@@ -69,27 +69,20 @@ from collections.abc import Iterator, Sequence
 from repro.errors import IndependenceError, ReproError
 from repro.fd.fd import FunctionalDependency
 from repro.independence import pool
-from repro.independence.criterion import LAZY, Verdict
-from repro.independence.language import (
-    _flagged_product,
-    explore_dangerous_factors,
-    validate_update_class,
+from repro.independence.criterion import (
+    Verdict,
+    decide_dangerous,
+    validate_strategy,
 )
-from repro.independence.strategy import (
-    AUTO,
-    EAGER,
-    STRATEGIES,
-    StrategySelector,
-)
-from repro.limits import Budget, BudgetExceeded, PartialStats
+from repro.independence.language import validate_update_class
+from repro.independence.strategy import AUTO, StrategySelector
+from repro.limits import Budget, PartialStats
 from repro.obs.metrics import COUNTER, GAUGE, verdict_metrics
 from repro.obs.trace import NOOP_TRACER, current_tracer
 from repro.pattern.template import RegularTreePattern
 from repro.schema.dtd import Schema
-from repro.tautomata.emptiness import automaton_is_empty_typed, witness_document
 from repro.tautomata.from_pattern import trace_automaton
 from repro.tautomata.lazy import ExplorationStats
-from repro.tautomata.ops import product_automaton
 from repro.update.update_class import UpdateClass
 from repro.xmlmodel.tree import ROOT_LABEL, XMLDocument, XMLNode
 
@@ -475,12 +468,14 @@ def _explore_rows(
     serial path) or by :func:`repro.independence.pool.resolve_context`
     (pool workers), never per chunk.
 
-    ``strategy="auto"`` resolves per cell through one
-    :class:`StrategySelector` scoped to this call: the static shape
-    model decides the first cells, and each completed lazy cell's
-    exploration stats refine the explored-fraction estimate for the
-    rest.  The selector is deterministic, so repeating the call repeats
-    its choices exactly.
+    Each cell is one
+    :func:`~repro.independence.criterion.decide_dangerous` call, the
+    decision per-pair checks make too.  ``strategy="auto"`` resolves
+    per cell through one :class:`StrategySelector` scoped to this call:
+    the static shape model decides the first cells, and each completed
+    lazy cell's exploration stats refine the explored-fraction estimate
+    for the rest.  The selector is deterministic, so repeating the call
+    repeats its choices exactly.
 
     Each cell gets a *fresh* meter from ``budget``, so the caps bound
     cells individually; a budget-exhausted cell becomes UNKNOWN with
@@ -504,11 +499,8 @@ def _explore_rows(
     """
     if tracer is None:
         tracer = NOOP_TRACER
-    update_automata = shared.update_automata
-    schema_hedge = shared.schema_hedge
-    factor_cache = shared.factor_cache
-    schema_rules = 0 if schema_hedge is None else len(schema_hedge.rules)
-    selector = StrategySelector() if strategy == AUTO else None
+    alphabet_size = len(shared.alphabet)
+    selector = StrategySelector()
     rows: list[list[MatrixCell | None]] = []
     for local_row, pattern in enumerate(patterns):
         with tracer.span("construct.trace_automaton"):
@@ -516,7 +508,7 @@ def _explore_rows(
                 pattern, shared.alphabet, track_regions=True, name="A_FD"
             )
         row: list[MatrixCell | None] = []
-        for column, update_automaton in enumerate(update_automata):
+        for column, update_automaton in enumerate(shared.update_automata):
             if (
                 skip_cells is not None
                 and (row_offset + local_row, column) in skip_cells
@@ -526,98 +518,38 @@ def _explore_rows(
             if per_cell_delay:
                 time.sleep(per_cell_delay)
             with tracer.span("matrix.cell") as cell_span:
-                cell_strategy = strategy
-                if selector is not None:
-                    cell_strategy = selector.choose(
-                        pattern_rules=len(pattern_automaton.automaton.rules),
-                        update_rules=len(update_automaton.automaton.rules),
-                        schema_rules=schema_rules,
-                        alphabet_size=len(shared.alphabet),
-                    )
                 started = time.perf_counter()
-                meter = (
-                    None
-                    if budget is None or budget.unbounded
-                    else budget.start()
+                outcome = decide_dangerous(
+                    pattern_automaton,
+                    update_automaton,
+                    shared.schema_hedge,
+                    strategy,
+                    want_witness,
+                    budget,
+                    alphabet_size,
+                    selector=selector,
+                    factor_cache=shared.factor_cache,
+                    tracer=tracer,
+                    span=cell_span,
                 )
-                exploration = None
-                witness = None
-                partial = None
-                try:
-                    if cell_strategy == LAZY:
-                        outcome = explore_dangerous_factors(
-                            pattern_automaton,
-                            update_automaton,
-                            schema_hedge,
-                            want_witness=want_witness,
-                            factor_cache=factor_cache,
-                            meter=meter,
-                            tracer=tracer,
-                        )
-                        empty = outcome.empty
-                        witness = outcome.witness
-                        exploration = outcome.stats
-                    else:
-                        if meter is not None:
-                            meter.check_deadline()
-                        flagged = _flagged_product(
-                            pattern_automaton, update_automaton
-                        )
-                        automaton = (
-                            flagged
-                            if schema_hedge is None
-                            else product_automaton(
-                                schema_hedge, flagged, name="A_S×B"
-                            )
-                        )
-                        if meter is not None:
-                            meter.check_deadline()
-                        if want_witness:
-                            witness = witness_document(automaton, meter=meter)
-                            empty = witness is None
-                        else:
-                            empty = automaton_is_empty_typed(
-                                automaton, meter=meter
-                            )
-                    verdict = (
-                        Verdict.INDEPENDENT
-                        if empty
-                        else Verdict.POSSIBLY_DEPENDENT
-                    )
-                except BudgetExceeded as signal:
-                    verdict = Verdict.UNKNOWN
-                    partial = signal.partial
-                    witness = None
-                    exploration = None
-                if selector is not None and exploration is not None:
-                    selector.observe(exploration)
                 cell = MatrixCell(
                     row=row_offset + local_row,
                     column=column,
-                    verdict=verdict,
+                    verdict=outcome.verdict,
                     elapsed_seconds=time.perf_counter() - started,
-                    exploration=exploration,
-                    witness=witness,
-                    partial=partial,
+                    exploration=outcome.exploration,
+                    witness=outcome.witness,
+                    partial=outcome.partial,
                 )
                 if cell_span.enabled:
                     cell_span.set_attribute("row", cell.row)
                     cell_span.set_attribute("column", cell.column)
-                    cell_span.set_attribute("verdict", verdict.value)
-                    cell_span.set_attribute("strategy", cell_strategy)
                     cell_span.set_attribute(
                         "elapsed_ms", cell.elapsed_seconds * 1000.0
                     )
-                    if exploration is not None:
+                    if cell.partial is not None:
                         cell_span.set_attribute(
-                            "explored_rules", exploration.explored_rules
-                        )
-                        cell_span.set_attribute(
-                            "worst_case_rules", exploration.worst_case_rules
-                        )
-                    if partial is not None:
-                        cell_span.set_attribute(
-                            "unknown_reason", partial.reason
+                            "unknown_reason", cell.partial.reason
                         )
                 row.append(cell)
                 if on_cell is not None:
@@ -1107,11 +1039,7 @@ def _check_matrix(
     worker_log_path: str | None = None,
     tracer=None,
 ) -> IndependenceMatrix:
-    if strategy not in STRATEGIES:
-        raise IndependenceError(
-            f"unknown independence strategy {strategy!r}; "
-            f"expected {AUTO!r}, {LAZY!r} or {EAGER!r}"
-        )
+    validate_strategy(strategy)
     if not patterns or not update_classes:
         raise IndependenceError(
             "an independence matrix needs at least one FD/view and one "

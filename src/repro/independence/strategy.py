@@ -14,7 +14,9 @@ leaving a known factor on the table.
 
 ``strategy="auto"`` (the default everywhere since this module landed)
 resolves to one of the two fixed strategies *per check* through a
-:class:`StrategySelector`:
+:class:`StrategySelector`, consulted in one place for per-pair FD
+checks, per-pair view checks and matrix cells alike —
+:func:`repro.independence.criterion.decide_dangerous`:
 
 * a **static cost model** over automaton shape — factor rule counts,
   alphabet width, schema presence — picks the regime the bench data
@@ -25,11 +27,12 @@ resolves to one of the two fixed strategies *per check* through a
   whose lazy cells turn out to explore most of their worst case flips
   the remaining schema cells to eager.
 
-Determinism contract: a selector is created per entry point call
-(:func:`~repro.independence.criterion.check_independence`) or per row
-chunk (matrix runs), never shared process-wide, and its decisions are a
-pure function of the shapes seen and the stats observed so far in that
-scope.  Repeating a call therefore repeats its choices exactly — the
+Determinism contract: a selector is scoped to one per-pair check
+(``decide_dangerous`` makes a fresh one when its caller passes none) or
+to one row chunk of a matrix run (the chunk passes its own to every
+cell), never shared process-wide, and its decisions are a pure function
+of the shapes seen and the stats observed so far in that scope.
+Repeating a call therefore repeats its choices exactly — the
 differential suites (traced vs untraced, bit-for-bit) rely on it.
 
 Tie-break rules (also documented in DESIGN.md):
@@ -91,8 +94,8 @@ OBSERVATION_WEIGHT = 0.5
 class StrategySelector:
     """Deterministic per-run eager/lazy arbiter (see module docstring).
 
-    One instance covers one run scope — a single ``check_independence``
-    call, or one row chunk of a matrix run.  ``choose`` is consulted
+    One instance covers one run scope — a single per-pair check, or one
+    row chunk of a matrix run.  ``choose`` is consulted
     per cell with the factor shapes; ``observe`` feeds back the
     :class:`ExplorationStats` of each completed lazy cell so later
     choices in the same scope use a measured explored fraction instead
@@ -151,24 +154,3 @@ class StrategySelector:
             return EAGER
         return LAZY
 
-
-def resolve_strategy(
-    strategy: str,
-    selector: StrategySelector | None,
-    pattern_rules: int,
-    update_rules: int,
-    schema_rules: int,
-    alphabet_size: int,
-) -> str:
-    """Map a requested strategy to the effective one for a cell.
-
-    Fixed strategies pass through; ``"auto"`` consults the selector
-    (a fresh one when ``None`` — the static model alone).
-    """
-    if strategy != AUTO:
-        return strategy
-    if selector is None:
-        selector = StrategySelector()
-    return selector.choose(
-        pattern_rules, update_rules, schema_rules, alphabet_size
-    )

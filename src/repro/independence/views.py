@@ -10,15 +10,15 @@ subtrees it returns.
 That dangerous region is *identical* to the FD case — ``N(trace)`` plus
 the subtrees rooted at selected-node images — so the construction of
 :mod:`repro.independence.language` applies verbatim with the view
-pattern in place of the FD pattern.  This module packages that reuse:
+pattern in place of the FD pattern.
 
-* :func:`view_dangerous_language` — the automaton for the view variant
-  of Definition 6 (the eager product, kept for size studies);
-* :func:`check_view_independence` — the polynomial criterion: when the
-  language is empty, every update of the class leaves ``V(D)`` (as a
-  forest of subtrees) unchanged on every (schema-valid) document.  Like
-  the FD criterion it defaults to the on-the-fly product exploration and
-  builds a witness document only when one is requested.
+:func:`check_view_independence` is the polynomial criterion: when the
+language is empty, every update of the class leaves ``V(D)`` (as a
+forest of subtrees) unchanged on every (schema-valid) document.  It
+builds the view's factors and hands them to the same decision procedure
+as the FD criterion,
+:func:`repro.independence.criterion.decide_dangerous`, which resolves
+the strategy and builds a witness document only when one is requested.
 
 Batch runs over many views and update classes should go through
 :func:`repro.independence.matrix.check_view_independence_matrix`, which
@@ -31,26 +31,21 @@ import dataclasses
 import time
 from collections.abc import Iterator
 
-from repro.errors import IndependenceError
-from repro.independence.criterion import EAGER, LAZY, Verdict
-from repro.independence.language import (
-    _flagged_product,
-    dangerous_factors,
-    explore_dangerous_factors,
+from repro.independence.criterion import (
+    EAGER,
+    Verdict,
+    decide_dangerous,
+    pair_alphabet_size,
 )
-from repro.independence.strategy import AUTO, STRATEGIES, StrategySelector
-from repro.limits import Budget, BudgetExceeded, PartialStats
+from repro.independence.language import dangerous_factors
+from repro.independence.strategy import AUTO
+from repro.limits import Budget, PartialStats
 from repro.obs.metrics import format_stats, verdict_metrics
 from repro.obs.trace import current_tracer
 from repro.pattern.template import RegularTreePattern
 from repro.schema.dtd import Schema
-from repro.tautomata.emptiness import (
-    automaton_is_empty_typed,
-    witness_document,
-)
 from repro.tautomata.hedge import HedgeAutomaton
 from repro.tautomata.lazy import ExplorationStats
-from repro.tautomata.ops import product_automaton
 from repro.update.update_class import UpdateClass
 from repro.xmlmodel.tree import XMLDocument
 
@@ -115,21 +110,6 @@ class ViewIndependenceResult:
         )
 
 
-def view_dangerous_language(
-    view: RegularTreePattern,
-    update_class: UpdateClass,
-    schema: Schema | None = None,
-) -> HedgeAutomaton:
-    """The automaton recognizing the view variant of the language ``L``."""
-    view_automaton, update_automaton, schema_hedge = dangerous_factors(
-        view, update_class, schema, pattern_name="A_V"
-    )
-    flagged = _flagged_product(view_automaton, update_automaton)
-    if schema_hedge is None:
-        return flagged
-    return product_automaton(schema_hedge, flagged, name="A_S×B")
-
-
 def check_view_independence(
     view: RegularTreePattern,
     update_class: UpdateClass,
@@ -141,25 +121,17 @@ def check_view_independence(
 ) -> ViewIndependenceResult:
     """Certify that no update of the class can change the view's result.
 
-    Like :func:`repro.independence.criterion.check_independence`, a
-    ``budget`` bounds the total exploration; exhausting it yields the
-    UNKNOWN verdict with partial statistics, never a wrong boolean.
-    ``tracer`` likewise mirrors the FD criterion: the run is wrapped in
-    a ``view.check`` span, and observability never changes the verdict.
+    Like :func:`repro.independence.criterion.check_independence`, the
+    decision is :func:`~repro.independence.criterion.decide_dangerous`
+    with the view pattern in place of the FD pattern: a ``budget``
+    bounds the total exploration, and exhausting it yields the UNKNOWN
+    verdict with partial statistics, never a wrong boolean.  ``tracer``
+    likewise mirrors the FD criterion: the run is wrapped in a
+    ``view.check`` span, and observability never changes the verdict.
     """
-    if strategy not in STRATEGIES:
-        raise IndependenceError(
-            f"unknown independence strategy {strategy!r}; "
-            f"expected {AUTO!r}, {LAZY!r} or {EAGER!r}"
-        )
     if tracer is None:
         tracer = current_tracer()
     started = time.perf_counter()
-    meter = None if budget is None or budget.unbounded else budget.start()
-    exploration: ExplorationStats | None = None
-    automaton: HedgeAutomaton | None = None
-    partial: PartialStats | None = None
-    witness: XMLDocument | None = None
     with tracer.span("view.check") as check_span:
         with tracer.span("ic.construct"):
             view_automaton, update_automaton, schema_hedge = (
@@ -168,93 +140,34 @@ def check_view_independence(
                     pattern_name="A_V", tracer=tracer,
                 )
             )
-        requested = strategy
-        if strategy == AUTO:
-            alphabet = set(view.template.alphabet())
-            alphabet |= update_class.pattern.template.alphabet()
-            if schema is not None:
-                alphabet |= schema.alphabet()
-            strategy = StrategySelector().choose(
-                pattern_rules=len(view_automaton.automaton.rules),
-                update_rules=len(update_automaton.automaton.rules),
-                schema_rules=(
-                    0 if schema_hedge is None else len(schema_hedge.rules)
-                ),
-                alphabet_size=len(alphabet),
-            )
-        try:
-            if strategy == LAZY:
-                outcome = explore_dangerous_factors(
-                    view_automaton,
-                    update_automaton,
-                    schema_hedge,
-                    want_witness=want_witness,
-                    meter=meter,
-                    tracer=tracer,
-                )
-                empty = outcome.empty
-                witness = outcome.witness
-                exploration = outcome.stats
-                automaton_size = exploration.explored_size
-            else:
-                if meter is not None:
-                    meter.check_deadline()
-                with tracer.span("ic.eager_product"):
-                    flagged = _flagged_product(
-                        view_automaton, update_automaton
-                    )
-                    if schema_hedge is None:
-                        automaton = flagged
-                    else:
-                        automaton = product_automaton(
-                            schema_hedge, flagged, name="A_S×B"
-                        )
-                if meter is not None:
-                    meter.check_deadline()
-                with tracer.span("ic.eager_emptiness"):
-                    if want_witness:
-                        witness = witness_document(automaton, meter=meter)
-                        empty = witness is None
-                    else:
-                        empty = automaton_is_empty_typed(automaton, meter=meter)
-                automaton_size = automaton.size()
-            verdict = (
-                Verdict.INDEPENDENT if empty else Verdict.POSSIBLY_DEPENDENT
-            )
-        except BudgetExceeded as signal:
-            verdict = Verdict.UNKNOWN
-            partial = signal.partial
-            witness = None
-            exploration = None
-            automaton = None
-            automaton_size = partial.explored_states + partial.explored_rules
+        outcome = decide_dangerous(
+            view_automaton,
+            update_automaton,
+            schema_hedge,
+            strategy,
+            want_witness,
+            budget,
+            pair_alphabet_size(view, update_class, schema),
+            tracer=tracer,
+            span=check_span,
+        )
         if check_span.enabled:
             check_span.set_attribute("view_arity", view.arity)
             check_span.set_attribute("update_class", update_class.name)
-            check_span.set_attribute("strategy", strategy)
-            if requested == AUTO:
+            if strategy == AUTO:
                 check_span.set_attribute("strategy_requested", AUTO)
-            check_span.set_attribute("verdict", verdict.value)
-            check_span.set_attribute("automaton_size", automaton_size)
-            if exploration is not None:
-                check_span.set_attribute(
-                    "explored_rules", exploration.explored_rules
-                )
-                check_span.set_attribute(
-                    "worst_case_rules", exploration.worst_case_rules
-                )
-    elapsed = time.perf_counter() - started
+            check_span.set_attribute("automaton_size", outcome.automaton_size)
     return ViewIndependenceResult(
-        verdict=verdict,
+        verdict=outcome.verdict,
         view=view,
         update_class=update_class,
         schema=schema,
-        automaton=automaton,
-        witness=witness,
-        automaton_size=automaton_size,
-        elapsed_seconds=elapsed,
-        strategy=strategy,
-        exploration=exploration,
+        automaton=outcome.automaton,
+        witness=outcome.witness,
+        automaton_size=outcome.automaton_size,
+        elapsed_seconds=time.perf_counter() - started,
+        strategy=outcome.strategy,
+        exploration=outcome.exploration,
         budget=budget,
-        partial=partial,
+        partial=outcome.partial,
     )

@@ -393,7 +393,12 @@ class CorpusStore:
 
     def stats(self) -> dict:
         """Backend row counts plus the store location."""
-        return self.backend.stats()
+        with current_tracer().span("corpus.stats") as span:
+            stats = self.backend.stats()
+            if span.enabled:
+                for key, value in stats.items():
+                    span.set_attribute(key, value)
+        return stats
 
     # -- bulk load ------------------------------------------------------
 
@@ -961,6 +966,14 @@ class CorpusStore:
             )
         except (KeyError, TypeError, ValueError):
             return None
+
+
+def stats_metrics(stats: dict) -> Iterator[tuple[str, str, int]]:
+    """``store.<name>`` gauges of the row counts in a
+    :meth:`CorpusStore.stats` result (see :mod:`repro.obs.metrics`)."""
+    for key, value in sorted(stats.items()):
+        if isinstance(value, int):
+            yield GAUGE, f"store.{key}", value
 
 
 def open_corpus(location: str) -> CorpusStore:

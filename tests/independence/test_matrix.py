@@ -155,6 +155,8 @@ class TestParallelism:
 class TestViewMatrix:
     @pytest.mark.parametrize("seed", range(4))
     def test_view_cells_match_per_view_checks(self, seed):
+        # unbudgeted only: per-pair and matrix runs build their automata
+        # over different alphabets, so step counts are not comparable
         rng = random.Random(seed + 300)
         views = [
             random_pattern(rng, LABELS, node_count=3, max_length=2)
@@ -164,13 +166,24 @@ class TestViewMatrix:
             random_update_class(rng, LABELS, node_count=2, max_length=2)
             for _ in range(2)
         ]
-        matrix = check_view_independence_matrix(views, update_classes)
-        for i, view in enumerate(views):
-            for j, update_class in enumerate(update_classes):
-                single = check_view_independence(
-                    view, update_class, want_witness=False
+        for schema in (None, _schema()):
+            for strategy in ("auto", "lazy", "eager"):
+                matrix = check_view_independence_matrix(
+                    views, update_classes, schema=schema, want_witness=True,
+                    strategy=strategy,
                 )
-                assert matrix.verdict(i, j) == single.verdict
+                for i, view in enumerate(views):
+                    for j, update_class in enumerate(update_classes):
+                        single = check_view_independence(
+                            view, update_class, schema=schema,
+                            want_witness=True, strategy=strategy,
+                        )
+                        cell = matrix.cell(i, j)
+                        context = (schema is not None, strategy, i, j)
+                        assert cell.verdict == single.verdict, context
+                        assert (cell.witness is None) == (
+                            single.witness is None
+                        ), context
 
 
 class TestValidation:
